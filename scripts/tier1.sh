@@ -46,18 +46,20 @@ if [[ "${1:-}" == "--sanitize" ]]; then
   cmake --build build-asan -j
   cd build-asan
   # gtest_discover_tests registers Suite.Case names; match the suites of
-  # the fault-injection, campaign and batched-lockstep binaries.  (-R must
-  # precede the bare -j or ctest parses it as the job count.)
+  # the fault-injection, campaign and batched-lockstep binaries, plus the
+  # flush-to-zero guard's throw paths.  (-R must precede the bare -j or
+  # ctest parses it as the job count.)
   ctest --output-on-failure \
-    -R '^(Campaign|Internal|Fault|Fmea|Parallel|System|Tolerance|TransientBatch|Batched|DeviceBanks|Checkpoint|NumericNameLess|Service|Queue|FleetObs|RunSession)' -j
+    -R '^(Campaign|Internal|Fault|Fmea|Parallel|System|Tolerance|TransientBatch|Batched|DeviceBanks|Checkpoint|NumericNameLess|Service|Queue|FleetObs|RunSession|FlushToZero|TelemetryDeterminism)' -j
   exit 0
 fi
 
 if [[ "${1:-}" == "--tsan" ]]; then
   # ThreadSanitizer pass over everything that runs worker threads: the
   # telemetry layer (sharded metrics, per-thread trace buffers, the event
-  # log mutex), the thread-pool engine and the campaign runners.  IPO is
-  # off: TSan instrumentation and LTO interact badly on some toolchains.
+  # log mutex), the thread-pool engine and the campaign runners (4 workers
+  # copying one const settle prefix).  IPO is off: TSan instrumentation
+  # and LTO interact badly on some toolchains.
   cmake -B build-tsan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DLCOSC_ENABLE_IPO=OFF \
@@ -65,7 +67,7 @@ if [[ "${1:-}" == "--tsan" ]]; then
   cmake --build build-tsan -j
   cd build-tsan
   ctest --output-on-failure \
-    -R '^(Obs|Telemetry|JsonValidator|Campaign|Internal|Fault|Fmea|Parallel|System|Checkpoint|NumericNameLess|Service|Queue|FleetObs|RunSession)' -j
+    -R '^(Obs|Telemetry|JsonValidator|Campaign|Internal|Fault|Fmea|Parallel|System|Checkpoint|NumericNameLess|Service|Queue|FleetObs|RunSession|FlushToZero)' -j
   exit 0
 fi
 
@@ -135,6 +137,16 @@ echo "service kill/resume smoke: report byte-identical to the single-process run
   --checkpoint-dir "$smoke_dir/chunk1" --report "$smoke_dir/chunk1_report.txt" --quiet >/dev/null
 cmp "$smoke_dir/ref_report.txt" "$smoke_dir/chunk1_report.txt"
 echo "chunked drain smoke: per-case and lockstep-chunked reports byte-identical"
+
+# The same for external FMEA (DESIGN.md §17): one shared settle prefix
+# per chunk in the single-process run, one per case across 3 shards.
+"$svc" --kind fmea --shards 1 \
+  --checkpoint-dir "$smoke_dir/fmea_ref" --report "$smoke_dir/fmea_ref_report.txt" --quiet >/dev/null
+"$svc" --kind fmea --shards 3 --chunk-lanes 1 \
+  --checkpoint-dir "$smoke_dir/fmea_chunk1" --report "$smoke_dir/fmea_chunk1_report.txt" \
+  --quiet >/dev/null
+cmp "$smoke_dir/fmea_ref_report.txt" "$smoke_dir/fmea_chunk1_report.txt"
+echo "fmea chunked drain smoke: per-case and shared-prefix reports byte-identical"
 
 # Smoke step: multi-job campaign queue (DESIGN.md §14).  Submit two jobs
 # at different priorities, kill -9 the draining coordinator mid-run,

@@ -22,21 +22,6 @@ const char* mode_name(RegulationMode mode) {
   return "?";
 }
 
-obs::Counter& ticks_counter() {
-  static obs::Counter& c = obs::MetricsRegistry::instance().counter("fsm.ticks");
-  return c;
-}
-
-obs::Counter& code_changes_counter() {
-  static obs::Counter& c = obs::MetricsRegistry::instance().counter("fsm.code_changes");
-  return c;
-}
-
-obs::Counter& safe_entries_counter() {
-  static obs::Counter& c = obs::MetricsRegistry::instance().counter("fsm.safe_state_entries");
-  return c;
-}
-
 }  // namespace
 
 RegulationFsm::RegulationFsm(RegulationConfig config)
@@ -59,6 +44,19 @@ void RegulationFsm::por_reset() {
   code_ = config_.startup_code;
   mode_ = RegulationMode::PowerOnReset;
   ticks_ = 0;
+  tally_ = {};
+}
+
+void RegulationFsm::flush_metrics() {
+  // A counter is registered on its first non-zero flush, as it was when
+  // tick() counted live, so snapshots list the same names.
+  auto publish = [](const char* name, std::uint64_t n) {
+    if (n > 0) obs::MetricsRegistry::instance().counter(name).add(n);
+  };
+  publish("fsm.ticks", tally_.ticks);
+  publish("fsm.code_changes", tally_.code_changes);
+  publish("fsm.safe_state_entries", tally_.safe_state_entries);
+  tally_ = {};
 }
 
 void RegulationFsm::apply_nvm_preset() {
@@ -75,7 +73,7 @@ void RegulationFsm::apply_nvm_preset() {
 
 int RegulationFsm::tick(devices::WindowState window) {
   ++ticks_;
-  ticks_counter().add(1);
+  ++tally_.ticks;
   if (mode_ == RegulationMode::SafeState) return code_;
   mode_ = RegulationMode::Regulating;
   if (frozen()) return code_;
@@ -91,7 +89,7 @@ int RegulationFsm::tick(devices::WindowState window) {
       break;
   }
   if (code_ != previous) {
-    code_changes_counter().add(1);
+    ++tally_.code_changes;
     if (obs::events_enabled()) {
       obs::Event("fsm.code")
           .integer("tick", ticks_)
@@ -104,7 +102,7 @@ int RegulationFsm::tick(devices::WindowState window) {
 
 void RegulationFsm::enter_safe_state() {
   if (mode_ != RegulationMode::SafeState) {
-    safe_entries_counter().add(1);
+    ++tally_.safe_state_entries;
     obs::trace_instant("fsm.safe_state");
     if (obs::events_enabled()) {
       obs::Event("fsm.mode")

@@ -6,6 +6,8 @@
 // settling.  A latched safety fault forces the maximum output current.
 #pragma once
 
+#include <cstdint>
+
 #include "common/constants.h"
 #include "devices/comparator.h"
 #include "faults/fault_bus.h"
@@ -59,7 +61,20 @@ class RegulationFsm {
   [[nodiscard]] long tick_count() const { return ticks_; }
   [[nodiscard]] const RegulationConfig& config() const { return config_; }
 
+  // The fsm.* counters are tallied in the FSM and reach the metrics
+  // registry only here, when the owner's run ends; a copied FSM carries
+  // its tally along.  So a run resumed from a shared settle prefix counts
+  // that prefix exactly like a straight run (DESIGN.md §17).  Clears the
+  // tally; por_reset() discards an unpublished one.
+  void flush_metrics();
+
  private:
+  struct Tally {
+    std::uint64_t ticks = 0;
+    std::uint64_t code_changes = 0;
+    std::uint64_t safe_state_entries = 0;
+  };
+
   [[nodiscard]] bool frozen() const {
     return fault_bus_ != nullptr && fault_bus_->fsm_frozen();
   }
@@ -68,6 +83,7 @@ class RegulationFsm {
   int code_;
   RegulationMode mode_ = RegulationMode::PowerOnReset;
   long ticks_ = 0;
+  Tally tally_{};
   const faults::FaultBus* fault_bus_ = nullptr;
 };
 

@@ -7,18 +7,14 @@
 namespace lcosc::safety {
 namespace {
 
-obs::Counter& trips_counter() {
-  static obs::Counter& c = obs::MetricsRegistry::instance().counter("safety.trips");
-  return c;
-}
+constexpr std::array<const char*, 4> kChannels = {"missing_oscillation", "low_amplitude",
+                                                   "asymmetry", "frequency_out_of_band"};
 
 // One rising-edge report per channel per armed period: a structured
 // event (with the simulation time, attributable to the running case via
-// the campaign's EventContext), a trace instant and a per-channel
-// counter.
+// the campaign's EventContext) and a trace instant.  The counters follow
+// in flush_metrics().
 void report_trip(const char* channel, double t) {
-  trips_counter().add(1);
-  obs::MetricsRegistry::instance().counter(std::string("safety.trips.") + channel).add(1);
   obs::trace_instant(std::string("safety.trip:") + channel);
   if (obs::events_enabled()) {
     obs::Event("safety.trip").str("channel", channel).num("t", t);
@@ -46,13 +42,14 @@ bool SafetyController::step(double t, double dt, double v_lc1, double v_lc2) {
   // no new flag) is two relaxed loads and a comparison.
   if (now != tripped_ &&
       (obs::metrics_enabled() || obs::trace_enabled() || obs::events_enabled())) {
-    if (now.missing_oscillation && !tripped_.missing_oscillation) {
-      report_trip("missing_oscillation", t);
-    }
-    if (now.low_amplitude && !tripped_.low_amplitude) report_trip("low_amplitude", t);
-    if (now.asymmetry && !tripped_.asymmetry) report_trip("asymmetry", t);
-    if (now.frequency_out_of_band && !tripped_.frequency_out_of_band) {
-      report_trip("frequency_out_of_band", t);
+    const std::array<bool, 4> rising = {
+        now.missing_oscillation && !tripped_.missing_oscillation,
+        now.low_amplitude && !tripped_.low_amplitude, now.asymmetry && !tripped_.asymmetry,
+        now.frequency_out_of_band && !tripped_.frequency_out_of_band};
+    for (std::size_t c = 0; c < kChannels.size(); ++c) {
+      if (!rising[c]) continue;
+      ++trips_[c];
+      report_trip(kChannels[c], t);
     }
   }
   tripped_ = now;
@@ -65,6 +62,18 @@ FaultFlags SafetyController::flags() const {
           .low_amplitude = low_amplitude_.fault(),
           .asymmetry = asymmetry_.fault(),
           .frequency_out_of_band = frequency_.fault()};
+}
+
+void SafetyController::flush_metrics() {
+  // Counters are registered on their first non-zero flush, as they were
+  // when trips counted live, so snapshots list the same names.
+  auto& registry = obs::MetricsRegistry::instance();
+  for (std::size_t c = 0; c < kChannels.size(); ++c) {
+    if (trips_[c] == 0) continue;
+    registry.counter("safety.trips").add(trips_[c]);
+    registry.counter(std::string("safety.trips.") + kChannels[c]).add(trips_[c]);
+  }
+  trips_ = {};
 }
 
 void SafetyController::reset(double t) {

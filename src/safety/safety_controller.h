@@ -7,6 +7,9 @@
 // faults.
 #pragma once
 
+#include <array>
+#include <cstdint>
+
 #include "faults/fault_bus.h"
 #include "safety/asymmetry_detector.h"
 #include "safety/frequency_monitor.h"
@@ -49,8 +52,14 @@ class SafetyController {
   // Advance with the instantaneous pin voltages (relative to Vref).
   // Returns true while the safety reaction is requested.  A rising edge
   // on any detector channel emits a "safety.trip" structured event and a
-  // trace instant carrying the simulation time (obs/, DESIGN.md §10).
+  // trace instant carrying the simulation time (obs/, DESIGN.md §10),
+  // and tallies the trip for flush_metrics().
   bool step(double t, double dt, double v_lc1, double v_lc2);
+
+  // Publish the tallied safety.trips counters and clear the tally.  The
+  // owner calls this when its run ends, so a run resumed from a copied
+  // prefix counts that prefix's trips exactly once (DESIGN.md §17).
+  void flush_metrics();
 
   [[nodiscard]] FaultFlags flags() const;
   [[nodiscard]] bool safe_state_requested() const { return flags().any(); }
@@ -73,6 +82,9 @@ class SafetyController {
   FrequencyMonitor frequency_;
   double reset_time_ = 0.0;
   FaultFlags tripped_{};  // channels already reported since the last reset
+  // Unpublished trips per channel (missing oscillation, low amplitude,
+  // asymmetry, frequency out of band).
+  std::array<std::uint64_t, 4> trips_{};
   const faults::FaultBus* fault_bus_ = nullptr;
 };
 

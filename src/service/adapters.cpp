@@ -318,6 +318,7 @@ class ExternalFmeaCampaign final : public ShardableCampaign {
     config_.observe_time = spec.observe_time;
     config_.max_retries = spec.max_retries;
     config_.retry_backoff = spec.case_backoff;
+    chunk_stride_ = static_cast<std::size_t>(spec.chunk_lanes);
   }
 
   [[nodiscard]] std::size_t case_count() const override { return system::fmea_case_count(); }
@@ -327,17 +328,22 @@ class ExternalFmeaCampaign final : public ShardableCampaign {
   }
 
   [[nodiscard]] std::string run_case(std::size_t index) const override {
-    const system::FmeaRow row = system::run_fmea_case_at(config_, index);
-    FmeaCaseFields f;
-    f.observed = row.observed;
-    f.detected = row.detected;
-    f.expected_channel_hit = row.expected_channel_hit;
-    f.safe_state_entered = row.safe_state_entered;
-    f.detection_latency = row.detection_latency;
-    f.final_code = row.final_code;
-    f.status = row.status;
-    return encode_fmea_fields(f);
+    return encode_row(system::run_fmea_case_at(config_, index));
   }
+
+  // Chunked drain: a contiguous span shares one healthy settle prefix,
+  // byte-identical to per-case execution (system/fault_sweep.h).
+  [[nodiscard]] std::vector<std::string> run_cases(std::size_t first,
+                                                   std::size_t count) const override {
+    std::vector<std::string> records;
+    records.reserve(count);
+    for (const system::FmeaRow& row : system::run_fmea_cases(config_, first, count)) {
+      records.push_back(encode_row(row));
+    }
+    return records;
+  }
+
+  [[nodiscard]] std::size_t chunk_stride() const override { return chunk_stride_; }
 
   [[nodiscard]] std::string error_record(std::size_t /*index*/,
                                          const std::string& message) const override {
@@ -391,7 +397,20 @@ class ExternalFmeaCampaign final : public ShardableCampaign {
   }
 
  private:
+  [[nodiscard]] static std::string encode_row(const system::FmeaRow& row) {
+    FmeaCaseFields f;
+    f.observed = row.observed;
+    f.detected = row.detected;
+    f.expected_channel_hit = row.expected_channel_hit;
+    f.safe_state_entered = row.safe_state_entered;
+    f.detection_latency = row.detection_latency;
+    f.final_code = row.final_code;
+    f.status = row.status;
+    return encode_fmea_fields(f);
+  }
+
   system::FmeaCampaignConfig config_;
+  std::size_t chunk_stride_ = 64;
 };
 
 // --- internal FMEA adapter --------------------------------------------------
@@ -421,18 +440,16 @@ class InternalFmeaCampaign final : public ShardableCampaign {
     return encode_row(system::run_internal_fmea_case_at(config_, index));
   }
 
-  // Chunked drain: a contiguous span shares one healthy settle prefix (a
-  // paused RunSession copied per fault), skipping the re-simulated
-  // startup that dominates each case.  Rows are byte-identical to
-  // per-case execution -- diverging continuations fall back to the full
-  // serial case inside run_internal_fmea_cases.
+  // Chunked drain: a contiguous span shares one healthy settle prefix,
+  // byte-identical to per-case execution (system/fault_sweep.h).
   [[nodiscard]] std::vector<std::string> run_cases(std::size_t first,
                                                    std::size_t count) const override {
-    const std::vector<system::InternalFmeaRow> rows =
-        system::run_internal_fmea_cases(config_, first, count);
     std::vector<std::string> records;
-    records.reserve(rows.size());
-    for (const system::InternalFmeaRow& row : rows) records.push_back(encode_row(row));
+    records.reserve(count);
+    for (const system::InternalFmeaRow& row :
+         system::run_internal_fmea_cases(config_, first, count)) {
+      records.push_back(encode_row(row));
+    }
     return records;
   }
 

@@ -30,10 +30,11 @@ struct CampaignSpec {
   double settle_time = 6e-3;    // FMEA settle before injection [s]
   double observe_time = 10e-3;  // FMEA observation window [s]
   int max_retries = 1;          // per-case bounded retry (run_guarded_case)
-  // Lanes per lockstep chunk of the batched tolerance engine; chunk
-  // boundaries are cut in GLOBAL case index, so the value changes wall
-  // time and memory, never a record byte -- it is deliberately NOT part
-  // of determinism_signature.  Bounds [1, 4096].
+  // Cases per drain chunk: lanes of one lockstep batched tolerance sweep,
+  // or FMEA cases sharing one settle prefix.  Chunk boundaries are cut in
+  // GLOBAL case index, so the value changes wall time and memory, never a
+  // record byte -- it is deliberately NOT part of determinism_signature.
+  // Bounds [1, 4096].
   int chunk_lanes = 64;
 
   // Sharding & supervision.

@@ -209,6 +209,7 @@ std::vector<BatchedLaneResult> run_batched_envelope(
     total_substeps += lane.substeps;
     total_lane_steps += lane.steps;
     total_lane_ticks += lane.ticks;
+    if (lane.fsm) lane.fsm->flush_metrics();
     if (!lane.ok || r.diverged) continue;
     r.final_code = lane.fsm->code();
     r.settled_amplitude =

@@ -183,6 +183,8 @@ DualRunResult DualSystem::run(double duration) {
       next_tick += fsm1_.config().tick_period;
     }
   }
+  fsm1_.flush_metrics();
+  fsm2_.flush_metrics();
   return result;
 }
 

@@ -137,7 +137,9 @@ EnvelopeSimulator::EnvelopeSimulator(EnvelopeSimConfig config)
 EnvelopeRunResult EnvelopeSimulator::run(double duration) {
   LCOSC_SPAN("envelope.run");
   LCOSC_REQUIRE(duration > 0.0, "duration must be positive");
-  return config_.adaptive ? run_adaptive(duration) : run_fixed(duration);
+  EnvelopeRunResult result = config_.adaptive ? run_adaptive(duration) : run_fixed(duration);
+  fsm_.flush_metrics();
+  return result;
 }
 
 EnvelopeRunResult EnvelopeSimulator::run_fixed(double duration) {

@@ -1,13 +1,7 @@
 #include "system/fmea_campaign.h"
 
-#include <cmath>
-#include <cstdint>
-
 #include "common/error.h"
-#include "common/parallel.h"
-#include "obs/event_log.h"
-#include "obs/metrics.h"
-#include "obs/span_tracer.h"
+#include "system/fault_sweep.h"
 
 namespace lcosc::system {
 
@@ -38,124 +32,59 @@ std::vector<tank::TankFault> fmea_fault_list() {
 
 namespace {
 
-// Auto step budget: 4x the nominal step count of the run, so a retry with
-// doubled steps_per_period still fits inside the same budget.
-std::size_t auto_step_budget(const OscillatorSystemConfig& sys_cfg, double duration) {
-  const tank::RlcTank healthy(sys_cfg.tank);
-  const double dt = 1.0 / (healthy.resonance_frequency() * sys_cfg.steps_per_period);
-  return 4 * static_cast<std::size_t>(std::ceil(duration / dt));
-}
+// External tank faults as a fault-sweep family (system/fault_sweep.h).
+struct ExternalFaultFamily {
+  using Row = FmeaRow;
+  static constexpr const char* kCampaign = "fmea";
+
+  const FmeaCampaignConfig& config;
+  std::vector<tank::TankFault> faults;
+
+  // The None control runs the healthy system: nothing is injected.
+  [[nodiscard]] std::optional<ScenarioAction> action(std::size_t i) const {
+    if (faults[i] == tank::TankFault::None) return std::nullopt;
+    return FaultEvent{faults[i], config.severity};
+  }
+  [[nodiscard]] bool channel_hit(const Row& row, const safety::FaultFlags& flags) const {
+    switch (row.expected) {
+      case tank::DetectionChannel::NoneExpected:
+        return !flags.any();
+      case tank::DetectionChannel::MissingOscillation:
+        return flags.missing_oscillation;
+      case tank::DetectionChannel::LowAmplitude:
+        return flags.low_amplitude;
+      case tank::DetectionChannel::Asymmetry:
+        return flags.asymmetry;
+    }
+    return false;
+  }
+  [[nodiscard]] bool expects_detection(const Row& row) const {
+    return row.expected != tank::DetectionChannel::NoneExpected;
+  }
+};
 
 }  // namespace
 
 FmeaRow run_fmea_case(const FmeaCampaignConfig& config, tank::TankFault fault) {
-  const double duration = config.settle_time + config.observe_time;
-
-  // Label everything the case emits (trace span, safety/FSM events) with
-  // the fault under test so a mixed log remains attributable.
-  const std::string label = "fmea:" + tank::to_string(fault);
-  const obs::EventContext event_ctx(label);
-  const obs::Span span(label);
-
-  FmeaRow row;
-  row.fault = fault;
-  row.expected = tank::expected_detection(fault);
-
-  row.status = run_guarded_case(
-      [&](int attempt) {
-        OscillatorSystemConfig sys_cfg = config.system;
-        // Retry after a convergence failure with a tightened integrator.
-        for (int k = 0; k < attempt; ++k) sys_cfg.steps_per_period *= 2;
-        sys_cfg.step_budget = config.step_budget > 0
-                                  ? config.step_budget
-                                  : auto_step_budget(config.system, duration);
-
-        OscillatorSystem sys(sys_cfg);
-        if (fault != tank::TankFault::None) {
-          sys.schedule_fault(fault, config.settle_time, config.severity);
-        }
-        const SimulationResult sim = sys.run(duration);
-
-        row.observed = sim.final_faults;
-        row.detected = sim.final_faults.any();
-        row.safe_state_entered = sim.final_mode == regulation::RegulationMode::SafeState;
-        row.final_code = sim.final_code;
-
-        switch (row.expected) {
-          case tank::DetectionChannel::NoneExpected:
-            row.expected_channel_hit = !row.detected;
-            break;
-          case tank::DetectionChannel::MissingOscillation:
-            row.expected_channel_hit = sim.final_faults.missing_oscillation;
-            break;
-          case tank::DetectionChannel::LowAmplitude:
-            row.expected_channel_hit = sim.final_faults.low_amplitude;
-            break;
-          case tank::DetectionChannel::Asymmetry:
-            row.expected_channel_hit = sim.final_faults.asymmetry;
-            break;
-        }
-
-        // Detection latency: first tick at/after injection with a flag.
-        row.detection_latency.reset();
-        for (const auto& tick : sim.ticks) {
-          if (tick.time >= config.settle_time && tick.faults.any()) {
-            row.detection_latency = tick.time - config.settle_time;
-            break;
-          }
-        }
-      },
-      config.max_retries, config.retry_backoff);
-
-  if (row.status.outcome == CaseOutcome::Ok &&
-      row.expected != tank::DetectionChannel::NoneExpected && !row.expected_channel_hit) {
-    row.status.outcome = CaseOutcome::Undetected;
-  }
-
-  if (obs::metrics_enabled()) {
-    auto& registry = obs::MetricsRegistry::instance();
-    registry.counter("campaign.cases").add(1);
-    registry.counter("campaign.cases." + to_string(row.status.outcome)).add(1);
-    if (row.status.retries > 0) {
-      registry.counter("campaign.retries")
-          .add(static_cast<std::uint64_t>(row.status.retries));
-    }
-    if (row.detection_latency.has_value()) {
-      static obs::Histogram& latency = registry.histogram(
-          "fmea.detection_latency_ms", {0.5, 1, 2, 3, 4, 5, 7.5, 10, 15, 20});
-      latency.record(*row.detection_latency * 1e3);
-    }
-  }
-  if (obs::events_enabled()) {
-    obs::Event event("campaign.case");
-    event.str("campaign", "fmea")
-        .str("fault", tank::to_string(fault))
-        .str("outcome", to_string(row.status.outcome))
-        .integer("retries", row.status.retries)
-        .boolean("detected", row.detected);
-    if (row.detection_latency.has_value()) {
-      event.num("detection_latency_ms", *row.detection_latency * 1e3);
-    }
-  }
-  return row;
+  return run_sweep_case(ExternalFaultFamily{config, {fault}}, 0);
 }
 
 std::size_t fmea_case_count() { return fmea_fault_list().size(); }
 
 FmeaRow run_fmea_case_at(const FmeaCampaignConfig& config, std::size_t index) {
-  const std::vector<tank::TankFault> faults = fmea_fault_list();
-  LCOSC_REQUIRE(index < faults.size(), "FMEA case index out of range");
-  return run_fmea_case(config, faults[index]);
+  LCOSC_REQUIRE(index < fmea_case_count(), "FMEA case index out of range");
+  return run_sweep_case(ExternalFaultFamily{config, fmea_fault_list()}, index);
+}
+
+std::vector<FmeaRow> run_fmea_cases(const FmeaCampaignConfig& config, std::size_t first,
+                                    std::size_t count) {
+  return run_fault_sweep(ExternalFaultFamily{config, fmea_fault_list()}, first, count, 1);
 }
 
 FmeaReport run_fmea_campaign(const FmeaCampaignConfig& config) {
-  // Each fault case builds its own OscillatorSystem from the shared
-  // const config, so the per-fault work is independent and the report is
-  // identical for any worker count.
   FmeaReport report;
-  report.rows = parallel_map(
-      fmea_case_count(), [&](std::size_t i) { return run_fmea_case_at(config, i); },
-      config.workers);
+  report.rows = run_fault_sweep(ExternalFaultFamily{config, fmea_fault_list()}, 0,
+                                fmea_case_count(), config.workers);
   return report;
 }
 

@@ -59,10 +59,12 @@ struct FmeaCampaignConfig {
 };
 
 // Run the campaign over all fault classes (excluding TankFault::None,
-// which is run once as a control and must stay fault-free).
+// which is run once as a control and must stay fault-free).  The cases
+// share one healthy settle prefix (system/fault_sweep.h); the report is
+// identical to running every case through run_fmea_case.
 [[nodiscard]] FmeaReport run_fmea_campaign(const FmeaCampaignConfig& config);
 
-// Run one fault scenario.
+// Run one fault scenario from t = 0: the per-case reference path.
 [[nodiscard]] FmeaRow run_fmea_case(const FmeaCampaignConfig& config, tank::TankFault fault);
 
 // All injectable fault classes (paper Section 7 list).
@@ -73,5 +75,10 @@ struct FmeaCampaignConfig {
 // every checkpointed record -- is a pure function of the index.
 [[nodiscard]] std::size_t fmea_case_count();
 [[nodiscard]] FmeaRow run_fmea_case_at(const FmeaCampaignConfig& config, std::size_t index);
+
+// Contiguous case span [first, first + count), serially on one shared
+// settle prefix; row i equals run_fmea_case_at(config, first + i).
+[[nodiscard]] std::vector<FmeaRow> run_fmea_cases(const FmeaCampaignConfig& config,
+                                                  std::size_t first, std::size_t count);
 
 }  // namespace lcosc::system

@@ -1,12 +1,7 @@
 #include "system/internal_fmea.h"
 
-#include <cmath>
-#include <cstdint>
-
-#include "common/parallel.h"
-#include "obs/event_log.h"
-#include "obs/metrics.h"
-#include "obs/span_tracer.h"
+#include "common/error.h"
+#include "system/fault_sweep.h"
 
 namespace lcosc::system {
 
@@ -16,82 +11,36 @@ std::size_t channel_index(faults::DetectionChannel channel) {
   return static_cast<std::size_t>(channel);
 }
 
-std::size_t auto_step_budget(const OscillatorSystemConfig& sys_cfg, double duration) {
-  const tank::RlcTank healthy(sys_cfg.tank);
-  const double dt = 1.0 / (healthy.resonance_frequency() * sys_cfg.steps_per_period);
-  return 4 * static_cast<std::size_t>(std::ceil(duration / dt));
-}
+// Internal on-chip faults as a fault-sweep family (system/fault_sweep.h).
+struct InternalFaultFamily {
+  using Row = InternalFmeaRow;
+  static constexpr const char* kCampaign = "internal_fmea";
 
-bool channel_hit(const safety::FaultFlags& flags, faults::DetectionChannel expected) {
-  switch (expected) {
-    case faults::DetectionChannel::None:
-      return !flags.any();
-    case faults::DetectionChannel::MissingOscillation:
-      return flags.missing_oscillation;
-    case faults::DetectionChannel::LowAmplitude:
-      return flags.low_amplitude;
-    case faults::DetectionChannel::Asymmetry:
-      return flags.asymmetry;
-    case faults::DetectionChannel::FrequencyOutOfBand:
-      return flags.frequency_out_of_band;
+  const InternalFmeaConfig& config;
+  std::vector<faults::InternalFault> faults;
+
+  [[nodiscard]] std::optional<ScenarioAction> action(std::size_t i) const {
+    return InternalFaultEvent{faults[i]};
   }
-  return false;
-}
-
-// Result fields of one completed simulation -> row; shared verbatim by
-// the serial per-case path and the shared-prefix batched path so the two
-// agree bit for bit.
-void fill_row(InternalFmeaRow& row, const SimulationResult& sim,
-              const InternalFmeaConfig& config) {
-  row.observed = sim.final_faults;
-  row.detected = sim.final_faults.any();
-  row.expected_channel_hit = channel_hit(sim.final_faults, row.expected);
-  row.safe_state_entered = sim.final_mode == regulation::RegulationMode::SafeState;
-  row.final_code = sim.final_code;
-
-  row.detection_latency.reset();
-  for (const auto& tick : sim.ticks) {
-    if (tick.time >= config.settle_time && tick.faults.any()) {
-      row.detection_latency = tick.time - config.settle_time;
-      break;
+  [[nodiscard]] bool channel_hit(const Row& row, const safety::FaultFlags& flags) const {
+    switch (row.expected) {
+      case faults::DetectionChannel::None:
+        return !flags.any();
+      case faults::DetectionChannel::MissingOscillation:
+        return flags.missing_oscillation;
+      case faults::DetectionChannel::LowAmplitude:
+        return flags.low_amplitude;
+      case faults::DetectionChannel::Asymmetry:
+        return flags.asymmetry;
+      case faults::DetectionChannel::FrequencyOutOfBand:
+        return flags.frequency_out_of_band;
     }
+    return false;
   }
-}
-
-// Undetected downgrade + per-case telemetry, applied once per finished
-// row on either execution path.
-void finalize_row(InternalFmeaRow& row, const faults::InternalFault& fault) {
-  if (row.status.outcome == CaseOutcome::Ok &&
-      row.expected != faults::DetectionChannel::None && !row.expected_channel_hit) {
-    row.status.outcome = CaseOutcome::Undetected;
+  [[nodiscard]] bool expects_detection(const Row& row) const {
+    return row.expected != faults::DetectionChannel::None;
   }
-
-  if (obs::metrics_enabled()) {
-    auto& registry = obs::MetricsRegistry::instance();
-    registry.counter("campaign.cases").add(1);
-    registry.counter("campaign.cases." + to_string(row.status.outcome)).add(1);
-    if (row.status.retries > 0) {
-      registry.counter("campaign.retries")
-          .add(static_cast<std::uint64_t>(row.status.retries));
-    }
-    if (row.detection_latency.has_value()) {
-      static obs::Histogram& latency = registry.histogram(
-          "internal_fmea.detection_latency_ms", {0.5, 1, 2, 3, 4, 5, 7.5, 10, 15, 20});
-      latency.record(*row.detection_latency * 1e3);
-    }
-  }
-  if (obs::events_enabled()) {
-    obs::Event event("campaign.case");
-    event.str("campaign", "internal_fmea")
-        .str("fault", faults::to_string(fault))
-        .str("outcome", to_string(row.status.outcome))
-        .integer("retries", row.status.retries)
-        .boolean("detected", row.detected);
-    if (row.detection_latency.has_value()) {
-      event.num("detection_latency_ms", *row.detection_latency * 1e3);
-    }
-  }
-}
+};
 
 }  // namespace
 
@@ -166,36 +115,7 @@ std::vector<std::string> InternalFmeaReport::uncovered_gaps() const {
 
 InternalFmeaRow run_internal_fmea_case(const InternalFmeaConfig& config,
                                        const faults::InternalFault& fault) {
-  const double duration = config.settle_time + config.observe_time;
-
-  // Label everything the case emits (trace span, safety/FSM events) with
-  // the fault under test so a mixed log remains attributable.
-  const std::string label = "internal_fmea:" + faults::to_string(fault);
-  const obs::EventContext event_ctx(label);
-  const obs::Span span(label);
-
-  InternalFmeaRow row;
-  row.fault = fault;
-  row.expected = faults::expected_detection(fault);
-
-  row.status = run_guarded_case(
-      [&](int attempt) {
-        OscillatorSystemConfig sys_cfg = config.system;
-        // Retry after a convergence failure with a tightened integrator.
-        for (int k = 0; k < attempt; ++k) sys_cfg.steps_per_period *= 2;
-        sys_cfg.step_budget = config.step_budget > 0
-                                  ? config.step_budget
-                                  : auto_step_budget(config.system, duration);
-
-        OscillatorSystem sys(sys_cfg);
-        sys.schedule_internal_fault(fault, config.settle_time);
-        const SimulationResult sim = sys.run(duration);
-        fill_row(row, sim, config);
-      },
-      config.max_retries, config.retry_backoff);
-
-  finalize_row(row, fault);
-  return row;
+  return run_sweep_case(InternalFaultFamily{config, {fault}}, 0);
 }
 
 std::vector<faults::InternalFault> internal_fmea_case_list(const InternalFmeaConfig& config) {
@@ -204,81 +124,21 @@ std::vector<faults::InternalFault> internal_fmea_case_list(const InternalFmeaCon
 
 InternalFmeaRow run_internal_fmea_case_at(const InternalFmeaConfig& config,
                                           std::size_t index) {
-  const std::vector<faults::InternalFault> faults = internal_fmea_case_list(config);
-  LCOSC_REQUIRE(index < faults.size(), "internal FMEA case index out of range");
-  return run_internal_fmea_case(config, faults[index]);
+  const InternalFaultFamily family{config, internal_fmea_case_list(config)};
+  LCOSC_REQUIRE(index < family.faults.size(), "internal FMEA case index out of range");
+  return run_sweep_case(family, index);
 }
 
 std::vector<InternalFmeaRow> run_internal_fmea_cases(const InternalFmeaConfig& config,
                                                      std::size_t first, std::size_t count) {
-  const std::vector<faults::InternalFault> faults = internal_fmea_case_list(config);
-  LCOSC_REQUIRE(first <= faults.size() && count <= faults.size() - first,
-                "internal FMEA case span out of range");
-  const double duration = config.settle_time + config.observe_time;
-
-  std::vector<InternalFmeaRow> rows;
-  rows.reserve(count);
-  if (count == 0) return rows;
-
-  // One healthy settle prefix for the whole span: the attempt-0 system
-  // (no events) advanced to the exact loop-top position where a fault
-  // scheduled at settle_time would fire.  Every variant then continues on
-  // a copy.  If the shared prefix itself cannot be built (invalid system
-  // config, divergence or budget exhaustion before settle), every case of
-  // the span would fail the same way serially -- run them all through the
-  // serial path so status/retries/messages match byte for byte.
-  OscillatorSystemConfig sys_cfg = config.system;
-  sys_cfg.step_budget = config.step_budget > 0
-                            ? config.step_budget
-                            : auto_step_budget(config.system, duration);
-  std::optional<RunSession> prefix;
-  try {
-    const obs::Span span("internal_fmea:settle_prefix");
-    OscillatorSystem base(sys_cfg);
-    prefix.emplace(base, duration);
-    prefix->advance_until(config.settle_time);
-  } catch (const std::exception&) {
-    prefix.reset();
-  }
-
-  for (std::size_t i = 0; i < count; ++i) {
-    const faults::InternalFault& fault = faults[first + i];
-    bool done = false;
-    if (prefix.has_value()) {
-      const std::string label = "internal_fmea:" + faults::to_string(fault);
-      const obs::EventContext event_ctx(label);
-      const obs::Span span(label);
-
-      InternalFmeaRow row;
-      row.fault = fault;
-      row.expected = faults::expected_detection(fault);
-      try {
-        RunSession session(*prefix);
-        session.inject_internal_fault(fault);
-        const SimulationResult sim = session.finish();
-        fill_row(row, sim, config);
-        finalize_row(row, fault);
-        rows.push_back(std::move(row));
-        done = true;
-      } catch (const std::exception&) {
-        // Structural divergence on this lane (self-test throw/stall,
-        // budget, non-finite state): fall back to the full serial case,
-        // which reproduces the guarded retry/timeout handling -- and its
-        // telemetry -- exactly.
-      }
-    }
-    if (!done) rows.push_back(run_internal_fmea_case(config, fault));
-  }
-  return rows;
+  return run_fault_sweep(InternalFaultFamily{config, internal_fmea_case_list(config)}, first,
+                         count, 1);
 }
 
 InternalFmeaReport run_internal_fmea_campaign(const InternalFmeaConfig& config) {
-  const std::vector<faults::InternalFault> faults = internal_fmea_case_list(config);
+  const InternalFaultFamily family{config, internal_fmea_case_list(config)};
   InternalFmeaReport report;
-  report.rows = parallel_map(
-      faults.size(),
-      [&](std::size_t i) { return run_internal_fmea_case(config, faults[i]); },
-      config.workers);
+  report.rows = run_fault_sweep(family, 0, family.faults.size(), config.workers);
   return report;
 }
 

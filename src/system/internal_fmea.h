@@ -86,8 +86,12 @@ struct InternalFmeaConfig {
   std::size_t step_budget = 0;
 };
 
+// All cases on config.workers threads, sharing one healthy settle prefix
+// (system/fault_sweep.h); identical to running each through
+// run_internal_fmea_case.
 [[nodiscard]] InternalFmeaReport run_internal_fmea_campaign(const InternalFmeaConfig& config);
 
+// One fault from t = 0: the per-case reference path.
 [[nodiscard]] InternalFmeaRow run_internal_fmea_case(const InternalFmeaConfig& config,
                                                      const faults::InternalFault& fault);
 
@@ -99,14 +103,13 @@ struct InternalFmeaConfig {
 [[nodiscard]] InternalFmeaRow run_internal_fmea_case_at(const InternalFmeaConfig& config,
                                                         std::size_t index);
 
-// Contiguous case span [first, first + count) through the batched path:
-// the variants share one healthy settle prefix (an
-// RunSession advanced to settle_time once), and each
-// fault runs on a copy of that paused session -- per-copy FaultBus, no
-// re-simulated startup.  A case whose continuation throws (self-test
-// faults, budget/stall, divergence) falls back to the full serial
-// run_internal_fmea_case, so every row -- status, retries, error message
-// -- is byte-identical to per-case execution.
+// Contiguous case span [first, first + count), serially on one shared
+// settle prefix: each fault runs on a copy of the paused session
+// (per-copy FaultBus, no re-simulated startup).  A case whose
+// continuation throws (self-test faults, budget/stall, divergence) falls
+// back to the full serial run_internal_fmea_case, so every row --
+// status, retries, error message -- is byte-identical to per-case
+// execution.
 [[nodiscard]] std::vector<InternalFmeaRow> run_internal_fmea_cases(
     const InternalFmeaConfig& config, std::size_t first, std::size_t count);
 

@@ -166,6 +166,7 @@ MagneticSensorResult MagneticSensorSystem::run(double duration) {
   while (err > kPi) err -= kTwoPi;
   while (err < -kPi) err += kTwoPi;
   result.angle_error = err;
+  fsm_.flush_metrics();
   return result;
 }
 

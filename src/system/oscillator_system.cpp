@@ -2,7 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+
+#if defined(__x86_64__) || defined(_M_X64)
+#include <xmmintrin.h>
+#endif
 
 #include "common/constants.h"
 #include "common/error.h"
@@ -10,6 +15,49 @@
 #include "obs/span_tracer.h"
 
 namespace lcosc::system {
+namespace {
+
+// Flush-to-zero (FTZ) for the RK4 loop (DESIGN.md §17).  A tank driven
+// below its oscillation condition decays geometrically; rounded to
+// nearest, that decay stalls at the smallest subnormals instead of
+// reaching 0, and every later step then pays the subnormal penalty.
+// Under FTZ a result that would be subnormal becomes 0; no other value
+// changes.  The guard saves the thread's FP control word and restores it
+// on every exit, including the ConvergenceError / BudgetExceededError
+// throws, so the caller's mode (FTZ or not) survives the run.
+class FlushToZeroScope {
+ public:
+  FlushToZeroScope() : saved_(read()) { write(saved_ | kFlushToZero); }
+  ~FlushToZeroScope() { write(saved_); }
+  FlushToZeroScope(const FlushToZeroScope&) = delete;
+  FlushToZeroScope& operator=(const FlushToZeroScope&) = delete;
+
+ private:
+#if defined(__x86_64__) || defined(_M_X64)
+  using Word = unsigned int;
+  static constexpr Word kFlushToZero = 1u << 15;  // MXCSR.FTZ
+  static Word read() { return _mm_getcsr(); }
+  static void write(Word word) { _mm_setcsr(word); }
+#elif defined(__aarch64__)
+  using Word = std::uint64_t;
+  static constexpr Word kFlushToZero = Word{1} << 24;  // FPCR.FZ
+  static Word read() {
+    Word word = 0;
+    __asm__ volatile("mrs %0, fpcr" : "=r"(word));
+    return word;
+  }
+  static void write(Word word) { __asm__ volatile("msr fpcr, %0" : : "r"(word)); }
+#else
+  // No portable control: results stay correct, a collapsed tank stays slow.
+  using Word = unsigned int;
+  static constexpr Word kFlushToZero = 0;
+  static Word read() { return 0; }
+  static void write(Word) {}
+#endif
+  Word saved_;
+};
+
+}  // namespace
 
 double SimulationResult::settled_amplitude(double tail_fraction) const {
   LCOSC_REQUIRE(tail_fraction > 0.0 && tail_fraction <= 1.0, "tail fraction in (0,1]");
@@ -173,6 +221,7 @@ OscillatorSystem::RunState OscillatorSystem::begin_run(double duration) {
 }
 
 void OscillatorSystem::advance_run(RunState& rs, double stop_time) {
+  const FlushToZeroScope flush_to_zero;
   const double dt = rs.dt;
   TankState& s = rs.s;
   SimulationResult& result = rs.result;
@@ -315,10 +364,16 @@ void OscillatorSystem::advance_run(RunState& rs, double stop_time) {
   }
 }
 
+void OscillatorSystem::flush_loop_metrics() {
+  fsm_.flush_metrics();
+  safety_.flush_metrics();
+}
+
 SimulationResult OscillatorSystem::finish_run(RunState& rs) {
   rs.result.final_faults = safety_.flags();
   rs.result.final_code = fsm_.code();
   rs.result.final_mode = fsm_.mode();
+  flush_loop_metrics();
   if (obs::metrics_enabled()) {
     auto& registry = obs::MetricsRegistry::instance();
     static obs::Counter& runs = registry.counter("system.runs");
@@ -334,7 +389,14 @@ SimulationResult OscillatorSystem::finish_run(RunState& rs) {
 SimulationResult OscillatorSystem::run(double duration) {
   LCOSC_SPAN("system.run");
   RunState rs = begin_run(duration);
-  advance_run(rs, std::numeric_limits<double>::infinity());
+  try {
+    advance_run(rs, std::numeric_limits<double>::infinity());
+  } catch (...) {
+    // A run that throws still counts the loop work it did.  A throwing
+    // RunSession continuation does not: its caller re-runs the case.
+    flush_loop_metrics();
+    throw;
+  }
   return finish_run(rs);
 }
 
@@ -352,13 +414,14 @@ void RunSession::advance_until(double stop_time) {
   system_.advance_run(state_, stop_time);
 }
 
-void RunSession::inject_internal_fault(const faults::InternalFault& fault) {
+void RunSession::inject(ScenarioAction action) {
   LCOSC_REQUIRE(state_.next_event >= system_.events_.size(),
-                "inject_internal_fault requires a session with no pending events");
-  LCOSC_REQUIRE(fault.kind != faults::InternalFaultKind::SelfTestStall ||
+                "RunSession::inject requires a session with no pending events");
+  const auto* ie = std::get_if<InternalFaultEvent>(&action);
+  LCOSC_REQUIRE(ie == nullptr || ie->fault.kind != faults::InternalFaultKind::SelfTestStall ||
                     system_.config_.step_budget > 0,
                 "a stall fault needs a positive step_budget to terminate the run");
-  system_.events_.push_back({state_.t, InternalFaultEvent{fault}});
+  system_.events_.push_back({state_.t, std::move(action)});
 }
 
 SimulationResult RunSession::finish() {

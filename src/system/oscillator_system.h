@@ -185,6 +185,8 @@ class OscillatorSystem {
   [[nodiscard]] RunState begin_run(double duration);
   void advance_run(RunState& rs, double stop_time);
   [[nodiscard]] SimulationResult finish_run(RunState& rs);
+  // Publish the FSM and safety counters tallied since the run began.
+  void flush_loop_metrics();
 
   // Subsystems observe the bus through const pointers; run() re-attaches
   // them so copied systems never alias another instance's bus.
@@ -209,8 +211,8 @@ class OscillatorSystem {
 // loop-top position where an event scheduled at time T would fire, so a
 // session paused there, copied, injected into, and run to completion is
 // bit-identical to a fresh system with that event scheduled up front.
-// The internal-FMEA batched path shares one healthy settle prefix
-// across all fault variants this way (DESIGN.md §16).
+// Both FMEA families share one healthy settle prefix across all fault
+// variants this way (system/fault_sweep.h, DESIGN.md §16-17).
 class RunSession {
  public:
   // Copies `system` and performs run()'s preamble (resets, bus clear).
@@ -224,12 +226,17 @@ class RunSession {
   // ends).  Throws exactly what run() would (ConvergenceError,
   // BudgetExceededError).
   void advance_until(double stop_time);
-  // Inject an internal fault firing at the next loop top -- equivalent
+  // Inject a scenario action firing at the next loop top -- equivalent
   // to scheduling it at the current pause time before the run.  Only
   // valid while the session has no pending scheduled events.
-  void inject_internal_fault(const faults::InternalFault& fault);
+  void inject(ScenarioAction action);
+  void inject_internal_fault(const faults::InternalFault& fault) {
+    inject(InternalFaultEvent{fault});
+  }
   // Run to the end and produce the result; emits the same run metrics
-  // a straight run() emits.  The session is spent afterwards.
+  // a straight run() emits, the settle prefix's loop counters included.
+  // A finish that throws emits none (the caller re-runs the case).  The
+  // session is spent afterwards.
   [[nodiscard]] SimulationResult finish();
 
   [[nodiscard]] double time() const { return state_.t; }

@@ -6,6 +6,13 @@
 
 namespace lcosc {
 
+Trace::Trace(const Trace& other) : name_(other.name_) {
+  times_.reserve(other.times_.capacity());
+  values_.reserve(other.values_.capacity());
+  times_.assign(other.times_.begin(), other.times_.end());
+  values_.assign(other.values_.begin(), other.values_.end());
+}
+
 void Trace::append(double time, double value) {
   LCOSC_REQUIRE(times_.empty() || time > times_.back(),
                 "trace time stamps must be strictly increasing");

@@ -15,6 +15,13 @@ class Trace {
  public:
   Trace() = default;
   explicit Trace(std::string name) : name_(std::move(name)) {}
+  // A copy keeps the source's reserved capacity, so a copy that keeps
+  // growing (a RunSession resumed from a shared prefix) reallocates
+  // exactly when the original would have.  One allocation, one pass.
+  Trace(const Trace& other);
+  Trace& operator=(const Trace& other) = default;
+  Trace(Trace&& other) noexcept = default;
+  Trace& operator=(Trace&& other) noexcept = default;
 
   [[nodiscard]] const std::string& name() const { return name_; }
   void set_name(std::string name) { name_ = std::move(name); }

@@ -411,68 +411,96 @@ TEST_F(ServiceTest, FleetTelemetryArtifactsMergeDeterministicallyAcrossShardCoun
   ::setenv("LCOSC_METRICS", "1", 1);
   ::setenv("LCOSC_TRACE", "1", 1);
 
-  CampaignSpec spec = small_tolerance_spec();
-  std::map<int, std::string> metrics_bytes;
-  for (const int shards : {1, 2, 3}) {
-    spec.shards = shards;
-    spec.checkpoint_dir = subdir("fleet_" + std::to_string(shards));
-    // Exercise the event-log path too: the env seed file is replaced by
-    // the per-shard flush file as soon as the worker opens it.
-    ::setenv("LCOSC_EVENTS", (spec.checkpoint_dir + "/events_seed.jsonl").c_str(), 1);
-    const ServiceResult result = run_campaign_service(spec);
-    ASSERT_FALSE(result.degraded());
+  // Both FMEA kinds drain each shard's span on one shared settle prefix,
+  // so the shard layout decides how many prefixes run; the merged
+  // counters must not depend on it.  Short cases keep the 42 internal
+  // faults cheap; the 1 ms settle still holds 4 regulation ticks.
+  CampaignSpec internal_spec = small_tolerance_spec();
+  internal_spec.kind = CampaignKind::InternalFmea;
+  internal_spec.settle_time = 1e-3;
+  internal_spec.observe_time = 1e-3;
+  CampaignSpec external_spec = internal_spec;
+  external_spec.kind = CampaignKind::ExternalFmea;
+  external_spec.observe_time = 2e-3;
 
-    const std::string tdir = telemetry_dir(spec.checkpoint_dir);
-    ASSERT_TRUE(fs::exists(tdir + "/metrics.json")) << shards << " shards";
-    metrics_bytes[shards] = file_bytes(tdir + "/metrics.json");
+  struct Layouts {
+    CampaignSpec spec;
+    std::vector<int> shard_counts;
+    std::size_t cases;
+  };
+  for (const Layouts& run : {Layouts{small_tolerance_spec(), {1, 2, 3}, 6},
+                             Layouts{internal_spec, {1, 2}, 42},
+                             Layouts{external_spec, {1, 2}, 8}}) {
+    CampaignSpec spec = run.spec;
+    const std::string kind = to_string(spec.kind);
+    std::map<int, std::string> metrics_bytes;
+    for (const int shards : run.shard_counts) {
+      spec.shards = shards;
+      spec.checkpoint_dir = subdir("fleet_" + kind + "_" + std::to_string(shards));
+      // Exercise the event-log path too: the env seed file is replaced by
+      // the per-shard flush file as soon as the worker opens it.
+      ::setenv("LCOSC_EVENTS", (spec.checkpoint_dir + "/events_seed.jsonl").c_str(), 1);
+      const ServiceResult result = run_campaign_service(spec);
+      ASSERT_FALSE(result.degraded()) << kind;
 
-    // The merged fleet trace: valid JSON, one pid per shard, and
-    // timestamps monotone non-decreasing within every pid.
-    const std::string trace = file_bytes(tdir + "/trace.json");
-    EXPECT_TRUE(JsonValidator(trace).valid()) << shards << " shards";
-    EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
-    EXPECT_NE(trace.find("\"process_name\""), std::string::npos);
-    std::map<int, double> last_ts;
-    std::istringstream lines(trace);
-    std::string line;
-    while (std::getline(lines, line)) {
-      const std::size_t pid_at = line.find("\"pid\": ");
-      const std::size_t ts_at = line.find("\"ts\": ");
-      if (pid_at == std::string::npos || ts_at == std::string::npos) continue;
-      const int pid = std::stoi(line.substr(pid_at + 7));
-      const double ts = std::stod(line.substr(ts_at + 6));
-      EXPECT_LT(pid, shards);
-      const auto it = last_ts.find(pid);
-      if (it != last_ts.end()) {
-        EXPECT_GE(ts, it->second) << line;
+      const std::string tdir = telemetry_dir(spec.checkpoint_dir);
+      ASSERT_TRUE(fs::exists(tdir + "/metrics.json")) << kind << " " << shards << " shards";
+      metrics_bytes[shards] = file_bytes(tdir + "/metrics.json");
+
+      // The merged fleet trace: valid JSON, one pid per shard, and
+      // timestamps monotone non-decreasing within every pid.
+      const std::string trace = file_bytes(tdir + "/trace.json");
+      EXPECT_TRUE(JsonValidator(trace).valid()) << kind << " " << shards << " shards";
+      EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
+      EXPECT_NE(trace.find("\"process_name\""), std::string::npos);
+      std::map<int, double> last_ts;
+      std::istringstream lines(trace);
+      std::string line;
+      while (std::getline(lines, line)) {
+        const std::size_t pid_at = line.find("\"pid\": ");
+        const std::size_t ts_at = line.find("\"ts\": ");
+        if (pid_at == std::string::npos || ts_at == std::string::npos) continue;
+        const int pid = std::stoi(line.substr(pid_at + 7));
+        const double ts = std::stod(line.substr(ts_at + 6));
+        EXPECT_LT(pid, shards);
+        const auto it = last_ts.find(pid);
+        if (it != last_ts.end()) {
+          EXPECT_GE(ts, it->second) << line;
+        }
+        last_ts[pid] = ts;
       }
-      last_ts[pid] = ts;
+      EXPECT_FALSE(last_ts.empty());
+
+      // summary.json carries the wall-clock case-latency quantiles.
+      const std::string summary = file_bytes(tdir + "/summary.json");
+      EXPECT_TRUE(JsonValidator(summary).valid());
+      EXPECT_NE(summary.find("\"service.case.wall_ms\""), std::string::npos);
+      EXPECT_NE(summary.find("\"p50\""), std::string::npos);
+      EXPECT_NE(summary.find("\"p95\""), std::string::npos);
+      EXPECT_NE(summary.find("\"p99\""), std::string::npos);
+
+      // Events concatenated in shard order, each line a flat object
+      // tagged with its shard.
+      const std::string events = file_bytes(tdir + "/events.jsonl");
+      ASSERT_FALSE(events.empty());
+      EXPECT_NE(events.find("\"shard\": 0"), std::string::npos);
     }
-    EXPECT_FALSE(last_ts.empty());
 
-    // summary.json carries the wall-clock case-latency quantiles.
-    const std::string summary = file_bytes(tdir + "/summary.json");
-    EXPECT_TRUE(JsonValidator(summary).valid());
-    EXPECT_NE(summary.find("\"service.case.wall_ms\""), std::string::npos);
-    EXPECT_NE(summary.find("\"p50\""), std::string::npos);
-    EXPECT_NE(summary.find("\"p95\""), std::string::npos);
-    EXPECT_NE(summary.find("\"p99\""), std::string::npos);
-
-    // Events concatenated in shard order, each line a flat object
-    // tagged with its shard.
-    const std::string events = file_bytes(tdir + "/events.jsonl");
-    ASSERT_FALSE(events.empty());
-    EXPECT_NE(events.find("\"shard\": 0"), std::string::npos);
+    // The deterministic artifact: byte-identical for every shard layout
+    // (wall-clock histograms and gauges are excluded by design).
+    const std::string& first = metrics_bytes.begin()->second;
+    EXPECT_FALSE(first.empty()) << kind;
+    for (const auto& [shards, bytes] : metrics_bytes) {
+      EXPECT_EQ(first, bytes) << kind << ": " << shards << " shards";
+    }
+    EXPECT_EQ(first.find("wall_ms"), std::string::npos) << kind;
+    EXPECT_NE(first.find("\"service.cases.computed\": " + std::to_string(run.cases)),
+              std::string::npos)
+        << first;
+    if (spec.kind != CampaignKind::Tolerance) {
+      EXPECT_NE(first.find("\"fsm.ticks\""), std::string::npos) << first;
+    }
   }
-
-  // The deterministic artifact: byte-identical for every shard layout
-  // (wall-clock histograms and gauges are excluded by design).
-  EXPECT_FALSE(metrics_bytes[1].empty());
-  EXPECT_EQ(metrics_bytes[1], metrics_bytes[2]);
-  EXPECT_EQ(metrics_bytes[1], metrics_bytes[3]);
-  EXPECT_EQ(metrics_bytes[1].find("wall_ms"), std::string::npos);
-  EXPECT_NE(metrics_bytes[1].find("\"service.cases.computed\": 6"), std::string::npos)
-      << metrics_bytes[1];
 }
 
 TEST_F(ServiceTest, ForensicsRecordsCrashedAndCleanWorkerExits) {
@@ -702,16 +730,14 @@ TEST(ServiceAdapters, RunCasesSpanMatchesPerCaseRecords) {
   // The chunked drain feeds run_cases() where the per-case drain feeds
   // run_case(); for every campaign kind the two must emit identical
   // record bytes for any span (tolerance routes through the lockstep
-  // batched engine, internal FMEA through the shared settle prefix).
+  // batched engine, both FMEA kinds through the shared settle prefix).
   for (const CampaignKind kind :
        {CampaignKind::Tolerance, CampaignKind::ExternalFmea, CampaignKind::InternalFmea}) {
     CampaignSpec spec = small_tolerance_spec();
     spec.kind = kind;
     spec.chunk_lanes = 2;
     const auto campaign = make_campaign(spec);
-    EXPECT_EQ(campaign->chunk_stride(),
-              kind == CampaignKind::ExternalFmea ? std::size_t{1} : std::size_t{2})
-        << to_string(kind);
+    EXPECT_EQ(campaign->chunk_stride(), std::size_t{2}) << to_string(kind);
 
     const std::size_t first = 1;
     const std::size_t count = std::min<std::size_t>(3, campaign->case_count() - first);

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
+
+#if defined(__x86_64__) || defined(_M_X64)
+#include <xmmintrin.h>
+#endif
 
 #include "common/error.h"
 #include "common/constants.h"
@@ -206,6 +211,22 @@ TEST(RunSession, CopyInjectMatchesScheduledFault) {
     variant.inject_internal_fault(fault);
     expect_results_identical(scheduled, variant.finish());
   }
+
+  // The external-FMEA recipe: every tank fault at the Section 7 bench
+  // severities, injected as a FaultEvent on a copy of the same prefix.
+  tank::FaultSeverity severity;
+  severity.resistance_factor = 30.0;
+  severity.shorted_turn_fraction = 0.9;
+  for (const tank::TankFault fault : fmea_fault_list()) {
+    OscillatorSystem reference(default_config());
+    reference.schedule_fault(fault, settle, severity);
+    const SimulationResult scheduled = reference.run(duration);
+
+    RunSession variant(prefix);
+    variant.inject(FaultEvent{fault, severity});
+    SCOPED_TRACE(tank::to_string(fault));
+    expect_results_identical(scheduled, variant.finish());
+  }
 }
 
 TEST(RunSession, InjectionRequiresNoPendingEvents) {
@@ -215,7 +236,108 @@ TEST(RunSession, InjectionRequiresNoPendingEvents) {
   sys.schedule_internal_fault(faults::make_gm_collapse(), 8e-3);
   RunSession session(sys, 10e-3);
   EXPECT_THROW(session.inject_internal_fault(faults::make_gm_collapse()), ConfigError);
+  EXPECT_THROW(session.inject(FaultEvent{tank::TankFault::OpenCoil, {}}), ConfigError);
+
+  // A session that already took an injection is in the same position.
+  OscillatorSystem healthy(default_config());
+  RunSession injected(healthy, 10e-3);
+  injected.inject(FaultEvent{tank::TankFault::ShortedTurns, {}});
+  EXPECT_THROW(injected.inject(FaultEvent{tank::TankFault::OpenCoil, {}}), ConfigError);
 }
+
+// --- flush-to-zero in the RK4 loop (DESIGN.md §17) ---------------------------
+
+// The two Section 7 bench faults that push the tank below its oscillation
+// condition (Q 40 -> ~2 and ~1.3).  Without the flush the decaying
+// oscillation stalls on subnormal pin voltages from ~0.1 ms after the
+// injection on.
+TEST(FlushToZero, CollapsedTankNeverStallsOnSubnormals) {
+  const double settle = 2e-3;
+  tank::FaultSeverity severity;
+  severity.resistance_factor = 30.0;
+  severity.shorted_turn_fraction = 0.9;
+  for (const tank::TankFault fault :
+       {tank::TankFault::ShortedTurns, tank::TankFault::IncreasedResistance}) {
+    OscillatorSystemConfig cfg = default_config();
+    cfg.waveform_decimation = 1;
+    OscillatorSystem sys(cfg);
+    sys.schedule_fault(fault, settle, severity);
+    const SimulationResult r = sys.run(4e-3);
+
+    std::size_t samples = 0;
+    std::size_t subnormal = 0;
+    for (const Trace* trace : {&r.v_lc1, &r.v_lc2}) {
+      for (std::size_t i = 0; i < trace->size(); ++i) {
+        if (trace->time(i) < settle) continue;
+        ++samples;
+        if (std::fpclassify(trace->value(i)) == FP_SUBNORMAL) ++subnormal;
+      }
+    }
+    EXPECT_GT(samples, 1000000u) << tank::to_string(fault);
+    EXPECT_EQ(subnormal, 0u) << tank::to_string(fault);
+    // The oscillation really died: the run ends far below any normal
+    // signal level, which is where the subnormals used to appear.
+    EXPECT_LT(std::abs(r.v_lc1.values().back()), 1e-300) << tank::to_string(fault);
+    EXPECT_EQ(r.final_code, 127) << tank::to_string(fault);
+  }
+}
+
+#if defined(__x86_64__) || defined(_M_X64)
+constexpr unsigned int kMxcsrFlushToZero = 1u << 15;
+// MXCSR without its six sticky exception flags (bits 0-5): any inexact
+// FP instruction sets those, including a sanitizer runtime's after the
+// guard has restored the word, so the contract covers the control bits.
+unsigned int mxcsr_control() { return _mm_getcsr() & ~0x3Fu; }
+
+// The loop sets FTZ only while it runs: the caller's MXCSR comes back on
+// every exit, normal or by exception.
+TEST(FlushToZero, CallerControlWordRestoredOnEveryExit) {
+  const unsigned int caller = mxcsr_control();
+  ASSERT_EQ(caller & kMxcsrFlushToZero, 0u);
+
+  {
+    OscillatorSystem sys(default_config());
+    (void)sys.run(1e-3);
+    EXPECT_EQ(mxcsr_control(), caller) << "run()";
+  }
+  {
+    OscillatorSystem sys(default_config());
+    sys.schedule_internal_fault(faults::make_fault(faults::InternalFaultKind::SelfTestThrow),
+                                0.5e-3);
+    EXPECT_THROW((void)sys.run(1e-3), ConvergenceError);
+    EXPECT_EQ(mxcsr_control(), caller) << "ConvergenceError";
+  }
+  {
+    OscillatorSystemConfig cfg = default_config();
+    cfg.step_budget = 400000;  // above the 256k steps of the run: only the stall hits it
+    OscillatorSystem sys(cfg);
+    sys.schedule_internal_fault(faults::make_fault(faults::InternalFaultKind::SelfTestStall),
+                                0.5e-3);
+    EXPECT_THROW((void)sys.run(1e-3), BudgetExceededError);
+    EXPECT_EQ(mxcsr_control(), caller) << "BudgetExceededError";
+  }
+  {
+    OscillatorSystem sys(default_config());
+    RunSession session(sys, 1e-3);
+    session.advance_until(0.5e-3);
+    EXPECT_EQ(mxcsr_control(), caller) << "advance_until";
+    (void)session.finish();
+    EXPECT_EQ(mxcsr_control(), caller) << "finish";
+  }
+}
+
+TEST(FlushToZero, CallerFlushToZeroModeIsKept) {
+  const unsigned int saved = _mm_getcsr();
+  _mm_setcsr(saved | kMxcsrFlushToZero);
+  const unsigned int caller = mxcsr_control();
+  OscillatorSystem sys(default_config());
+  (void)sys.run(1e-3);
+  const unsigned int after = mxcsr_control();
+  _mm_setcsr(saved);
+  EXPECT_EQ(after, caller);
+  EXPECT_NE(after & kMxcsrFlushToZero, 0u);
+}
+#endif
 
 TEST(FaultInjection, OpenCoilTripsWatchdogAndSafeState) {
   OscillatorSystem sys(default_config());
@@ -285,6 +407,75 @@ TEST(Fmea, ExpectedChannelsMostlyHit) {
   const FmeaReport report = run_fmea_campaign(cfg);
   // Every fault must at least fire its designated channel.
   EXPECT_EQ(report.expected_channel_count(), report.rows.size());
+}
+
+void expect_fmea_rows_identical(const std::vector<FmeaRow>& as,
+                                const std::vector<FmeaRow>& bs) {
+  ASSERT_EQ(as.size(), bs.size());
+  for (std::size_t i = 0; i < as.size(); ++i) {
+    const FmeaRow& a = as[i];
+    const FmeaRow& b = bs[i];
+    EXPECT_EQ(a.fault, b.fault) << "row " << i;
+    EXPECT_EQ(a.expected, b.expected) << "row " << i;
+    EXPECT_EQ(a.observed, b.observed) << "row " << i;
+    EXPECT_EQ(a.detected, b.detected) << "row " << i;
+    EXPECT_EQ(a.expected_channel_hit, b.expected_channel_hit) << "row " << i;
+    EXPECT_EQ(a.safe_state_entered, b.safe_state_entered) << "row " << i;
+    EXPECT_EQ(a.detection_latency, b.detection_latency) << "row " << i;
+    EXPECT_EQ(a.final_code, b.final_code) << "row " << i;
+    EXPECT_EQ(a.status, b.status) << "row " << i;
+  }
+}
+
+TEST(Fmea, SharedPrefixMatchesPerCaseRows) {
+  // run_fmea_campaign settles once and finishes every fault on a copy of
+  // that prefix; its rows must equal the per-case path's field for field,
+  // for any worker count, any span, and when a forced fallback sends the
+  // cases back through the serial path.
+  FmeaCampaignConfig cfg;
+  cfg.system = default_config();
+  cfg.severity.resistance_factor = 30.0;
+  cfg.severity.shorted_turn_fraction = 0.9;
+  cfg.settle_time = 3e-3;
+  cfg.observe_time = 3e-3;
+
+  const auto per_case = [&] {
+    std::vector<FmeaRow> rows;
+    for (std::size_t i = 0; i < fmea_case_count(); ++i) rows.push_back(run_fmea_case_at(cfg, i));
+    return rows;
+  };
+  const std::vector<FmeaRow> reference = per_case();
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    cfg.workers = workers;
+    SCOPED_TRACE(workers);
+    expect_fmea_rows_identical(reference, run_fmea_campaign(cfg).rows);
+  }
+  expect_fmea_rows_identical({reference[1], reference[2], reference[3]},
+                             run_fmea_cases(cfg, 1, 3));
+  EXPECT_TRUE(run_fmea_cases(cfg, 2, 0).empty());
+  EXPECT_THROW((void)run_fmea_cases(cfg, 7, 2), ConfigError);
+
+  const double dt = 1.0 / (tank::RlcTank(cfg.system.tank).resonance_frequency() *
+                           cfg.system.steps_per_period);
+  const auto settle_steps = static_cast<std::size_t>(std::ceil(cfg.settle_time / dt));
+
+  // The prefix itself exceeds the budget: every case runs serially.
+  cfg.step_budget = settle_steps / 2;
+  const std::vector<FmeaRow> prefix_timeout = per_case();
+  for (const FmeaRow& row : prefix_timeout) {
+    EXPECT_EQ(row.status.outcome, CaseOutcome::Timeout) << tank::to_string(row.fault);
+  }
+  expect_fmea_rows_identical(prefix_timeout, run_fmea_campaign(cfg).rows);
+
+  // The prefix fits, every continuation throws: the serial path writes
+  // the Timeout row the per-case run writes.
+  cfg.step_budget = settle_steps + 2000;
+  const std::vector<FmeaRow> continuation_timeout = per_case();
+  for (const FmeaRow& row : continuation_timeout) {
+    EXPECT_EQ(row.status.outcome, CaseOutcome::Timeout) << tank::to_string(row.fault);
+    EXPECT_NE(row.status.error.find("budget"), std::string::npos);
+  }
+  expect_fmea_rows_identical(continuation_timeout, run_fmea_campaign(cfg).rows);
 }
 
 TEST(Fmea, ControlCaseIsCleanAndLatencyRecorded) {

@@ -19,6 +19,7 @@
 #include "obs/span_tracer.h"
 #include "spice/circuit.h"
 #include "spice/transient_solver.h"
+#include "system/fmea_campaign.h"
 #include "system/internal_fmea.h"
 
 namespace lcosc::system {
@@ -59,6 +60,18 @@ TEST(JsonValidatorSelfTest, AcceptsAndRejects) {
 
 // --- acceptance: metrics determinism across worker counts -----------------
 
+void expect_counters_and_histograms_equal(const obs::MetricsSnapshot& a,
+                                          const obs::MetricsSnapshot& b) {
+  ASSERT_EQ(a.counters.size(), b.counters.size());
+  for (std::size_t i = 0; i < a.counters.size(); ++i) {
+    EXPECT_EQ(a.counters[i], b.counters[i]) << "counter " << a.counters[i].name;
+  }
+  ASSERT_EQ(a.histograms.size(), b.histograms.size());
+  for (std::size_t i = 0; i < a.histograms.size(); ++i) {
+    EXPECT_EQ(a.histograms[i], b.histograms[i]) << "histogram " << a.histograms[i].name;
+  }
+}
+
 TEST(TelemetryDeterminism, CampaignSnapshotsIdenticalForOneAndEightWorkers) {
   obs::set_trace_enabled(false);
   obs::set_metrics_enabled(true);
@@ -89,16 +102,7 @@ TEST(TelemetryDeterminism, CampaignSnapshotsIdenticalForOneAndEightWorkers) {
   // Counters and histograms merge order-independently, so the snapshots
   // are identical for any LCOSC_THREADS (gauges track live pool state
   // and are exempt from this contract by design, DESIGN.md §10).
-  ASSERT_EQ(snap1.counters.size(), snap8.counters.size());
-  for (std::size_t i = 0; i < snap1.counters.size(); ++i) {
-    EXPECT_EQ(snap1.counters[i], snap8.counters[i])
-        << "counter " << snap1.counters[i].name;
-  }
-  ASSERT_EQ(snap1.histograms.size(), snap8.histograms.size());
-  for (std::size_t i = 0; i < snap1.histograms.size(); ++i) {
-    EXPECT_EQ(snap1.histograms[i], snap8.histograms[i])
-        << "histogram " << snap1.histograms[i].name;
-  }
+  expect_counters_and_histograms_equal(snap1, snap8);
 
   // The campaign recorded the expected shape: one case counter per row
   // and a detection latency for each detected fault.
@@ -109,6 +113,62 @@ TEST(TelemetryDeterminism, CampaignSnapshotsIdenticalForOneAndEightWorkers) {
       snap8.find_histogram("internal_fmea.detection_latency_ms");
   ASSERT_NE(latency, nullptr);
   EXPECT_EQ(latency->count, static_cast<std::uint64_t>(parallel.detected_count()));
+}
+
+TEST(TelemetryDeterminism, SharedPrefixCampaignsCountLikeThePerCasePath) {
+  // Both campaigns settle once and finish every fault on a copy of that
+  // prefix.  The loop-side counters (fsm.*, safety.trips.*) are tallied
+  // per run, so each variant counts the prefix it inherited -- and a
+  // continuation that throws and falls back to the serial case counts
+  // only once: the snapshots equal the per-case path's.
+  obs::set_trace_enabled(false);
+  obs::set_metrics_enabled(true);
+  auto& registry = obs::MetricsRegistry::instance();
+
+  InternalFmeaConfig internal = small_campaign();
+  internal.faults.push_back(faults::make_fault(faults::InternalFaultKind::SelfTestThrow));
+  internal.workers = 4;
+  registry.reset();
+  for (std::size_t i = 0; i < internal.faults.size(); ++i) {
+    (void)run_internal_fmea_case_at(internal, i);
+  }
+  const obs::MetricsSnapshot internal_cases = registry.snapshot();
+  registry.reset();
+  (void)run_internal_fmea_campaign(internal);
+  const obs::MetricsSnapshot internal_sweep = registry.snapshot();
+
+  FmeaCampaignConfig external;
+  external.system = internal.system;
+  external.severity.resistance_factor = 30.0;
+  external.severity.shorted_turn_fraction = 0.9;
+  external.settle_time = 3e-3;
+  external.observe_time = 3e-3;
+  external.workers = 4;
+  registry.reset();
+  for (std::size_t i = 0; i < fmea_case_count(); ++i) (void)run_fmea_case_at(external, i);
+  const obs::MetricsSnapshot external_cases = registry.snapshot();
+  registry.reset();
+  (void)run_fmea_campaign(external);
+  const obs::MetricsSnapshot external_sweep = registry.snapshot();
+
+  obs::set_metrics_enabled(false);
+
+  {
+    SCOPED_TRACE("internal FMEA");
+    expect_counters_and_histograms_equal(internal_cases, internal_sweep);
+  }
+  {
+    SCOPED_TRACE("external FMEA");
+    expect_counters_and_histograms_equal(external_cases, external_sweep);
+  }
+  // The prefix ticks are in: every case counts the 12 ticks of its 3 ms
+  // settle, not just its continuation.
+  const obs::CounterSnapshot* ticks = external_sweep.find_counter("fsm.ticks");
+  ASSERT_NE(ticks, nullptr);
+  EXPECT_GE(ticks->value, fmea_case_count() * 12);
+  const obs::CounterSnapshot* trips = external_sweep.find_counter("safety.trips");
+  ASSERT_NE(trips, nullptr);
+  EXPECT_GE(trips->value, fmea_case_count());
 }
 
 // --- acceptance: trace JSON validity --------------------------------------
@@ -162,7 +222,9 @@ TEST(TelemetryTrace, ChromeTraceIsWellFormedWithMonotoneTimestamps) {
     return false;
   };
   EXPECT_TRUE(has("internal_fmea:gm-collapse"));
-  EXPECT_TRUE(has("system.run"));
+  // The campaign settles once and finishes each fault on a session copy.
+  EXPECT_TRUE(has("internal_fmea:settle_prefix"));
+  EXPECT_TRUE(has("system.run_session"));
   EXPECT_TRUE(has("transient.run"));
   EXPECT_TRUE(has("transient.step"));
 
