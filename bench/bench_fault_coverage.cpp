@@ -17,6 +17,7 @@
 #include "common/si_format.h"
 #include "common/table_printer.h"
 #include "common/units.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/span_tracer.h"
 #include "system/internal_fmea.h"
@@ -40,16 +41,6 @@ InternalFmeaConfig campaign_config() {
   cfg.settle_time = 6e-3;
   cfg.observe_time = 12e-3;
   return cfg;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
 }
 
 void write_json(const std::string& path, const InternalFmeaReport& report,
@@ -94,7 +85,8 @@ void write_json(const std::string& path, const InternalFmeaReport& report,
   const std::vector<std::string> gaps = report.uncovered_gaps();
   out << "  \"uncovered_gaps\": [\n";
   for (std::size_t i = 0; i < gaps.size(); ++i) {
-    out << "    \"" << json_escape(gaps[i]) << "\"" << (i + 1 < gaps.size() ? "," : "") << "\n";
+    out << "    \"" << obs::json::escaped(gaps[i]) << "\"" << (i + 1 < gaps.size() ? "," : "")
+        << "\n";
   }
   out << "  ],\n";
 
@@ -103,7 +95,7 @@ void write_json(const std::string& path, const InternalFmeaReport& report,
     const InternalFmeaRow& r = hardening[i];
     out << "    {\"fault\": \"" << faults::to_string(r.fault) << "\", \"outcome\": \""
         << to_string(r.status.outcome) << "\", \"retries\": " << r.status.retries
-        << ", \"error\": \"" << json_escape(r.status.error) << "\"}"
+        << ", \"error\": \"" << obs::json::escaped(r.status.error) << "\"}"
         << (i + 1 < hardening.size() ? "," : "") << "\n";
   }
   out << "  ],\n";

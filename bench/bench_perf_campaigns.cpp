@@ -383,8 +383,6 @@ struct BatchedTiming {
   double serial_ms = 0.0;
   double batched_ms = 0.0;
   bool identical = false;
-  std::size_t factorizations = 0;     // batched run
-  std::size_t shared_factor_hits = 0;  // batched run
 
   [[nodiscard]] double speedup() const {
     return batched_ms > 0.0 ? serial_ms / batched_ms : 0.0;
@@ -423,62 +421,6 @@ BatchedTiming bench_tolerance_batched() {
                   a.settled_amplitude == b.settled_amplitude &&
                   a.settled_code == b.settled_code &&
                   a.supply_current == b.supply_current && a.in_window == b.in_window;
-  }
-  return t;
-}
-
-// Lockstep spice batch with cross-case LU sharing: 8 linear variants, 4
-// of them sharing the nominal base matrix bit for bit.
-BatchedTiming bench_transient_batch() {
-  spice::TransientOptions options;
-  options.dt = 1.0 / (4.0_MHz * 64.0);
-  options.t_stop = 2000.0 * options.dt;
-  options.start_from_dc = false;
-
-  const std::vector<double> scales = {1.0, 1.0, 1.05, 1.0, 0.95, 1.1, 1.0, 0.9};
-  auto build = [](spice::Circuit& c, double scale) {
-    build_linear_rlc(c);
-    auto* rs = c.find_as<spice::Resistor>("Rs");
-    rs->set_resistance(rs->resistance() * scale);
-  };
-
-  BatchedTiming t;
-  t.name = "transient_sweep_batch";
-  t.items = scales.size();
-
-  std::vector<spice::TransientResult> serial(scales.size());
-  t.serial_ms = time_ms([&] {
-    for (std::size_t i = 0; i < scales.size(); ++i) {
-      spice::Circuit c;
-      build(c, scales[i]);
-      serial[i] = run_transient(c, options, {"a", "b"});
-    }
-  });
-
-  std::vector<spice::TransientResult> batched;
-  t.batched_ms = time_ms([&] {
-    std::vector<spice::Circuit> circuits(scales.size());
-    std::vector<spice::Circuit*> pointers;
-    for (std::size_t i = 0; i < scales.size(); ++i) {
-      build(circuits[i], scales[i]);
-      pointers.push_back(&circuits[i]);
-    }
-    batched = run_transient_batch(pointers, options, {"a", "b"});
-  });
-
-  t.identical = batched.size() == serial.size();
-  for (std::size_t v = 0; t.identical && v < serial.size(); ++v) {
-    t.factorizations += batched[v].stats.factorizations;
-    t.shared_factor_hits += batched[v].stats.shared_factor_hits;
-    t.identical = batched[v].traces.size() == serial[v].traces.size();
-    for (std::size_t p = 0; t.identical && p < serial[v].traces.size(); ++p) {
-      const Trace& a = batched[v].traces[p];
-      const Trace& b = serial[v].traces[p];
-      t.identical = a.size() == b.size();
-      for (std::size_t i = 0; t.identical && i < a.size(); ++i) {
-        t.identical = a.time(i) == b.time(i) && a.value(i) == b.value(i);
-      }
-    }
   }
   return t;
 }
@@ -952,9 +894,7 @@ void write_json(const std::string& path, const std::vector<CampaignTiming>& timi
         << "      \"serial_ms\": " << t.serial_ms << ",\n"
         << "      \"batched_ms\": " << t.batched_ms << ",\n"
         << "      \"speedup\": " << t.speedup() << ",\n"
-        << "      \"identical_results\": " << (t.identical ? "true" : "false") << ",\n"
-        << "      \"factorizations\": " << t.factorizations << ",\n"
-        << "      \"shared_factor_hits\": " << t.shared_factor_hits << "\n"
+        << "      \"identical_results\": " << (t.identical ? "true" : "false") << "\n"
         << "    }" << (i + 1 < batched.size() ? "," : "") << "\n";
   }
   out << "  ],\n  \"service\": [\n";
@@ -1133,14 +1073,13 @@ int main(int argc, char** argv) {
   ttable.print(std::cout);
 
   std::cout << "\n=== Batched lockstep engines vs serial reference ===\n\n";
-  const std::vector<BatchedTiming> batched = {bench_tolerance_batched(),
-                                              bench_transient_batch()};
+  const std::vector<BatchedTiming> batched = {bench_tolerance_batched()};
   TablePrinter btable({"workload", "items", "serial [ms]", "batched [ms]", "speedup",
-                       "identical", "factorizations", "shared hits"});
+                       "identical"});
   for (const BatchedTiming& t : batched) {
     btable.add_values(t.name, t.items, format_significant(t.serial_ms, 4),
                       format_significant(t.batched_ms, 4), format_significant(t.speedup(), 3),
-                      t.identical, t.factorizations, t.shared_factor_hits);
+                      t.identical);
   }
   btable.print(std::cout);
 
@@ -1237,7 +1176,7 @@ int main(int argc, char** argv) {
             << "    the reltol-scaled band of their fixed-grid references while cutting\n"
             << "    the accepted-step count (>= 3x on the startup and regulation rows);\n"
             << "  - identical=true on every batched row at >= 3x speedup on the\n"
-            << "    tolerance campaign: the lockstep engines return byte-identical\n"
+            << "    tolerance campaign: the lockstep engine returns byte-identical\n"
             << "    results while sharing work across variants;\n"
             << "  - identical=true on the service row: sharding the campaign across\n"
             << "    worker subprocesses (fork/exec + checkpoint fsync per case)\n"

@@ -224,8 +224,8 @@ int cmd_serve(JobQueue& queue, const QueueCoordinatorOptions& options) {
 // progress.json / forensics rows are flat objects; collect key -> raw value.
 bool read_flat_object(const std::string& text, std::map<std::string, std::string>& out) {
   try {
-    FlatJsonParser(text).context("telemetry").parse_object(
-        [&](const std::string& key, const std::string& value, bool) { out[key] = value; });
+    parse_flat_object(text, "telemetry", [&](const std::string& key, const std::string& value,
+                                             bool) { out[key] = value; });
   } catch (const std::exception&) {
     return false;
   }

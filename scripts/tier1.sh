@@ -46,11 +46,12 @@ if [[ "${1:-}" == "--sanitize" ]]; then
   cmake --build build-asan -j
   cd build-asan
   # gtest_discover_tests registers Suite.Case names; match the suites of
-  # the fault-injection, campaign and batched-lockstep binaries, plus the
-  # flush-to-zero guard's throw paths.  (-R must precede the bare -j or
-  # ctest parses it as the job count.)
+  # the fault-injection, campaign and batched-lockstep binaries, the
+  # flush-to-zero guard's throw paths, and the JSON reader with its
+  # seeded mutation fuzzer.  (-R must precede the bare -j or ctest
+  # parses it as the job count.)
   ctest --output-on-failure \
-    -R '^(Campaign|Internal|Fault|Fmea|Parallel|System|Tolerance|TransientBatch|Batched|DeviceBanks|Checkpoint|NumericNameLess|Service|Queue|FleetObs|RunSession|FlushToZero|TelemetryDeterminism)' -j
+    -R '^(Campaign|Internal|Fault|Fmea|Parallel|System|Tolerance|Batched|DeviceBanks|Checkpoint|NumericNameLess|Service|Queue|FleetObs|RunSession|FlushToZero|TelemetryDeterminism|Json)' -j
   exit 0
 fi
 
@@ -86,10 +87,9 @@ cmake -B build -S . && cmake --build build -j && cd build && ctest --output-on-f
 
 # Smoke step: the batched lockstep engines must be byte-identical to the
 # serial reference — the tolerance campaign (report-level diff across
-# engines and worker counts) and the batched transient/envelope paths
-# (per-sample trace equality, shared-LU on and off).
+# engines and worker counts) and the batched envelope path (per-sample
+# trace equality).
 ./tests/test_tolerance --gtest_filter='ToleranceBatched.*:ToleranceSeeding.*'
-./tests/test_spice_batch
 ./tests/test_batched_envelope --gtest_filter='BatchedEnvelope.*'
 
 # Smoke step: crash-resilient campaign service (DESIGN.md §13).  Start a

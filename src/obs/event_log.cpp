@@ -3,12 +3,13 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
 #include <sstream>
+
+#include "obs/json.h"
 
 namespace lcosc::obs {
 namespace {
@@ -57,36 +58,6 @@ bool apply_events_env() {
     open_file_locked(s, path);
   }
   return true;
-}
-
-void append_escaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
 }
 
 void emit_line(const std::string& line) {
@@ -138,7 +109,7 @@ void set_event_capture(std::vector<std::string>* capture) {
 Event::Event(std::string_view type) {
   line_.reserve(96);
   line_ += "{\"type\": \"";
-  append_escaped(line_, type);
+  json::append_escaped(line_, type);
   line_ += "\", \"seq\": ";
   line_ += std::to_string(g_sequence.fetch_add(1, std::memory_order_relaxed));
   const int shard = g_event_shard.load(std::memory_order_relaxed);
@@ -150,7 +121,7 @@ Event::Event(std::string_view type) {
 
 Event& Event::num(std::string_view key, double value) {
   line_ += ", \"";
-  append_escaped(line_, key);
+  json::append_escaped(line_, key);
   line_ += "\": ";
   if (std::isfinite(value)) {
     std::ostringstream v;
@@ -164,7 +135,7 @@ Event& Event::num(std::string_view key, double value) {
 
 Event& Event::integer(std::string_view key, long long value) {
   line_ += ", \"";
-  append_escaped(line_, key);
+  json::append_escaped(line_, key);
   line_ += "\": ";
   line_ += std::to_string(value);
   return *this;
@@ -172,16 +143,16 @@ Event& Event::integer(std::string_view key, long long value) {
 
 Event& Event::str(std::string_view key, std::string_view value) {
   line_ += ", \"";
-  append_escaped(line_, key);
+  json::append_escaped(line_, key);
   line_ += "\": \"";
-  append_escaped(line_, value);
+  json::append_escaped(line_, value);
   line_ += "\"";
   return *this;
 }
 
 Event& Event::boolean(std::string_view key, bool value) {
   line_ += ", \"";
-  append_escaped(line_, key);
+  json::append_escaped(line_, key);
   line_ += value ? "\": true" : "\": false";
   return *this;
 }
@@ -189,7 +160,7 @@ Event& Event::boolean(std::string_view key, bool value) {
 Event::~Event() {
   if (t_context != nullptr) {
     line_ += ", \"ctx\": \"";
-    append_escaped(line_, *t_context);
+    json::append_escaped(line_, *t_context);
     line_ += "\"";
   }
   line_ += "}";

@@ -9,6 +9,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "obs/json.h"
+
 namespace lcosc::obs {
 namespace {
 
@@ -201,14 +203,15 @@ std::string MetricsSnapshot::to_json(int indent) const {
   std::ostringstream out;
   out << "{\n" << pad << "  \"counters\": {";
   for (std::size_t i = 0; i < counters.size(); ++i) {
-    out << (i == 0 ? "\n" : ",\n") << pad << "    \"" << counters[i].name
+    out << (i == 0 ? "\n" : ",\n") << pad << "    \"" << json::escaped(counters[i].name)
         << "\": " << counters[i].value;
   }
   out << (counters.empty() ? "" : "\n" + pad + "  ") << "},\n";
 
   out << pad << "  \"gauges\": {";
   for (std::size_t i = 0; i < gauges.size(); ++i) {
-    out << (i == 0 ? "\n" : ",\n") << pad << "    \"" << gauges[i].name << "\": {\"value\": ";
+    out << (i == 0 ? "\n" : ",\n") << pad << "    \"" << json::escaped(gauges[i].name)
+        << "\": {\"value\": ";
     append_json_number(out, gauges[i].value);
     out << ", \"peak\": ";
     append_json_number(out, gauges[i].peak);
@@ -219,7 +222,8 @@ std::string MetricsSnapshot::to_json(int indent) const {
   out << pad << "  \"histograms\": {";
   for (std::size_t i = 0; i < histograms.size(); ++i) {
     const HistogramSnapshot& h = histograms[i];
-    out << (i == 0 ? "\n" : ",\n") << pad << "    \"" << h.name << "\": {\"bounds\": [";
+    out << (i == 0 ? "\n" : ",\n") << pad << "    \"" << json::escaped(h.name)
+        << "\": {\"bounds\": [";
     for (std::size_t b = 0; b < h.bounds.size(); ++b) {
       if (b > 0) out << ", ";
       append_json_number(out, h.bounds[b]);

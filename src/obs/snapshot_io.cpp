@@ -1,185 +1,17 @@
 #include "obs/snapshot_io.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <map>
 #include <sstream>
 
+#include "obs/json.h"
+
 namespace lcosc::obs {
 namespace {
-
-// --- tiny schema-directed JSON reader ------------------------------------
-//
-// The obs layer sits below common/ and service/, so it cannot use the
-// service FlatJsonParser; this cursor understands exactly the nesting
-// MetricsSnapshot::to_json and write_trace_jsonl produce (objects,
-// arrays of numbers, strings, unsigned/float numbers, null).
-
-struct Cursor {
-  std::string_view text;
-  std::size_t pos = 0;
-
-  void skip_ws() {
-    while (pos < text.size()) {
-      const char c = text[pos];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos;
-    }
-  }
-
-  bool consume(char expected) {
-    skip_ws();
-    if (pos >= text.size() || text[pos] != expected) return false;
-    ++pos;
-    return true;
-  }
-
-  [[nodiscard]] bool peek_is(char c) {
-    skip_ws();
-    return pos < text.size() && text[pos] == c;
-  }
-
-  bool parse_string(std::string& out) {
-    out.clear();
-    if (!consume('"')) return false;
-    while (pos < text.size()) {
-      const char c = text[pos++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos >= text.size()) return false;
-      const char esc = text[pos++];
-      switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'n': out.push_back('\n'); break;
-        case 't': out.push_back('\t'); break;
-        case 'r': out.push_back('\r'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'u': {
-          if (pos + 4 > text.size()) return false;
-          char buf[5] = {text[pos], text[pos + 1], text[pos + 2], text[pos + 3], '\0'};
-          pos += 4;
-          const long code = std::strtol(buf, nullptr, 16);
-          // Metric/span names are ASCII; anything else is dropped.
-          if (code >= 0 && code < 0x80) out.push_back(static_cast<char>(code));
-          break;
-        }
-        default:
-          return false;
-      }
-    }
-    return false;  // unterminated
-  }
-
-  // Number or the literal `null` (what append_json_number emits for a
-  // non-finite value); null parses as NaN.
-  bool parse_number(double& out) {
-    skip_ws();
-    if (text.substr(pos, 4) == "null") {
-      pos += 4;
-      out = std::numeric_limits<double>::quiet_NaN();
-      return true;
-    }
-    char buf[64];
-    std::size_t n = 0;
-    while (pos < text.size() && n + 1 < sizeof(buf)) {
-      const char c = text[pos];
-      const bool numeric = (c >= '0' && c <= '9') || c == '-' || c == '+' || c == '.' ||
-                           c == 'e' || c == 'E';
-      if (!numeric) break;
-      buf[n++] = c;
-      ++pos;
-    }
-    if (n == 0) return false;
-    buf[n] = '\0';
-    char* end = nullptr;
-    out = std::strtod(buf, &end);
-    return end == buf + n;
-  }
-
-  bool parse_u64(std::uint64_t& out) {
-    skip_ws();
-    char buf[32];
-    std::size_t n = 0;
-    while (pos < text.size() && n + 1 < sizeof(buf) && text[pos] >= '0' &&
-           text[pos] <= '9') {
-      buf[n++] = text[pos++];
-    }
-    if (n == 0) return false;
-    buf[n] = '\0';
-    char* end = nullptr;
-    out = std::strtoull(buf, &end, 10);
-    return end == buf + n;
-  }
-
-  // `{ "key": <value parsed by fn>, ... }`; fn returns false to abort.
-  template <typename Fn>
-  bool parse_object(Fn&& fn) {
-    if (!consume('{')) return false;
-    if (peek_is('}')) {
-      ++pos;
-      return true;
-    }
-    while (true) {
-      std::string key;
-      if (!parse_string(key)) return false;
-      if (!consume(':')) return false;
-      if (!fn(key)) return false;
-      if (peek_is(',')) {
-        ++pos;
-        continue;
-      }
-      return consume('}');
-    }
-  }
-
-  bool parse_number_array(std::vector<double>& out) {
-    out.clear();
-    if (!consume('[')) return false;
-    if (peek_is(']')) {
-      ++pos;
-      return true;
-    }
-    while (true) {
-      double v = 0.0;
-      if (!parse_number(v)) return false;
-      out.push_back(v);
-      if (peek_is(',')) {
-        ++pos;
-        continue;
-      }
-      return consume(']');
-    }
-  }
-
-  bool parse_u64_array(std::vector<std::uint64_t>& out) {
-    out.clear();
-    if (!consume('[')) return false;
-    if (peek_is(']')) {
-      ++pos;
-      return true;
-    }
-    while (true) {
-      std::uint64_t v = 0;
-      if (!parse_u64(v)) return false;
-      out.push_back(v);
-      if (peek_is(',')) {
-        ++pos;
-        continue;
-      }
-      return consume(']');
-    }
-  }
-};
 
 // Shared temp + rename writer (inline: obs sits below common/atomic_file.h
 // in the link order, same as write_chrome_trace).
@@ -209,67 +41,68 @@ bool write_text_atomic(const std::string& path, const std::string& body) {
   return true;
 }
 
-void append_escaped_full(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-}
-
 }  // namespace
 
 // --- metrics snapshot ------------------------------------------------------
 
 bool parse_metrics_snapshot(std::string_view text, MetricsSnapshot& out) {
   out = MetricsSnapshot{};
-  Cursor cur{text};
-  const bool ok = cur.parse_object([&](const std::string& section) {
+  json::Reader in(text);
+  const auto numbers = [&in](std::vector<double>& values) {
+    values.clear();
+    return in.array([&] {
+      double v = 0.0;
+      if (!in.number(v)) return false;
+      values.push_back(v);
+      return true;
+    });
+  };
+  const auto counts = [&in](std::vector<std::uint64_t>& values) {
+    values.clear();
+    return in.array([&] {
+      std::uint64_t v = 0;
+      if (!in.unsigned_integer(v)) return false;
+      values.push_back(v);
+      return true;
+    });
+  };
+  const bool ok = in.object([&](const std::string& section) {
     if (section == "counters") {
-      return cur.parse_object([&](const std::string& name) {
+      return in.object([&](const std::string& name) {
         std::uint64_t value = 0;
-        if (!cur.parse_u64(value)) return false;
+        if (!in.unsigned_integer(value)) return false;
         out.counters.push_back({name, value});
         return true;
       });
     }
     if (section == "gauges") {
-      return cur.parse_object([&](const std::string& name) {
+      return in.object([&](const std::string& name) {
         GaugeSnapshot g;
         g.name = name;
-        return cur.parse_object([&](const std::string& key) {
-          if (key == "value") return cur.parse_number(g.value);
-          if (key == "peak") return cur.parse_number(g.peak);
+        const bool parsed = in.object([&](const std::string& key) {
+          if (key == "value") return in.number(g.value);
+          if (key == "peak") return in.number(g.peak);
           return false;
-        }) && (out.gauges.push_back(std::move(g)), true);
+        });
+        if (!parsed) return false;
+        out.gauges.push_back(std::move(g));
+        return true;
       });
     }
     if (section == "histograms") {
-      return cur.parse_object([&](const std::string& name) {
+      return in.object([&](const std::string& name) {
         HistogramSnapshot h;
         h.name = name;
         // to_json omits min/max for empty histograms; default to the
         // merge identities so empty parts fold away.
         h.min = std::numeric_limits<double>::infinity();
         h.max = -std::numeric_limits<double>::infinity();
-        const bool parsed = cur.parse_object([&](const std::string& key) {
-          if (key == "bounds") return cur.parse_number_array(h.bounds);
-          if (key == "counts") return cur.parse_u64_array(h.counts);
-          if (key == "count") return cur.parse_u64(h.count);
-          if (key == "min") return cur.parse_number(h.min);
-          if (key == "max") return cur.parse_number(h.max);
+        const bool parsed = in.object([&](const std::string& key) {
+          if (key == "bounds") return numbers(h.bounds);
+          if (key == "counts") return counts(h.counts);
+          if (key == "count") return in.unsigned_integer(h.count);
+          if (key == "min") return in.number(h.min);
+          if (key == "max") return in.number(h.max);
           return false;
         });
         if (!parsed || h.counts.size() != h.bounds.size() + 1) return false;
@@ -278,7 +111,7 @@ bool parse_metrics_snapshot(std::string_view text, MetricsSnapshot& out) {
       });
     }
     return false;
-  });
+  }) && in.end();
   if (!ok) {
     out = MetricsSnapshot{};
     return false;
@@ -316,17 +149,19 @@ bool write_metrics_snapshot_json(const MetricsSnapshot& snapshot, const std::str
 
 // --- trace JSONL -----------------------------------------------------------
 
-bool write_trace_jsonl(const std::vector<TraceEventRecord>& events, const std::string& path) {
+std::string trace_jsonl(const std::vector<TraceEventRecord>& events) {
   std::ostringstream out;
   out.precision(12);
   for (const TraceEventRecord& e : events) {
-    std::string name;
-    append_escaped_full(name, e.name);
-    out << "{\"name\": \"" << name << "\", \"ph\": \"" << e.phase
+    out << "{\"name\": \"" << json::escaped(e.name) << "\", \"ph\": \"" << e.phase
         << "\", \"tid\": " << e.tid << ", \"ts\": " << e.ts_us << ", \"dur\": " << e.dur_us
         << "}\n";
   }
-  return write_text_atomic(path, out.str());
+  return out.str();
+}
+
+bool write_trace_jsonl(const std::vector<TraceEventRecord>& events, const std::string& path) {
+  return write_text_atomic(path, trace_jsonl(events));
 }
 
 bool parse_trace_jsonl(std::string_view text, std::vector<TraceEventRecord>& out) {
@@ -343,25 +178,21 @@ bool parse_trace_jsonl(std::string_view text, std::vector<TraceEventRecord>& out
     TraceEventRecord event;
     std::string phase;
     bool has_name = false;
-    Cursor cur{line};
-    const bool ok = cur.parse_object([&](const std::string& key) {
+    json::Reader in(line);
+    const bool ok = in.object([&](const std::string& key) {
       if (key == "name") {
         has_name = true;
-        return cur.parse_string(event.name);
+        return in.string(event.name);
       }
-      if (key == "ph") return cur.parse_string(phase);
-      if (key == "tid") {
-        std::uint64_t tid = 0;
-        if (!cur.parse_u64(tid)) return false;
-        event.tid = static_cast<std::uint32_t>(tid);
-        return true;
-      }
-      if (key == "ts") return cur.parse_number(event.ts_us);
-      if (key == "dur") return cur.parse_number(event.dur_us);
+      if (key == "ph") return in.string(phase);
+      if (key == "tid") return in.unsigned_integer(event.tid);
+      // Timestamps must be finite: the fleet trace writer sorts by them.
+      if (key == "ts") return in.number(event.ts_us) && std::isfinite(event.ts_us);
+      if (key == "dur") return in.number(event.dur_us) && std::isfinite(event.dur_us);
       return false;
-    });
+    }) && in.end();
     // A torn tail from a killed writer loses that one line, nothing else.
-    if (!ok || !has_name || phase.size() != 1) continue;
+    if (!ok || !has_name || (phase != "X" && phase != "i")) continue;
     event.phase = phase[0];
     out.push_back(std::move(event));
     ++parsed;
@@ -389,20 +220,16 @@ bool write_fleet_chrome_trace(std::vector<FleetTraceProcess> processes,
                 if (a.dur_us != b.dur_us) return a.dur_us > b.dur_us;  // enclosing span first
                 return a.tid < b.tid;
               });
-    std::string pname;
-    append_escaped_full(pname, proc.name);
     out << (first ? "\n" : ",\n") << "    {\"ph\": \"M\", \"pid\": " << proc.pid
-        << ", \"tid\": 0, \"name\": \"process_name\", \"args\": {\"name\": \"" << pname
-        << "\"}}";
+        << ", \"tid\": 0, \"name\": \"process_name\", \"args\": {\"name\": \""
+        << json::escaped(proc.name) << "\"}}";
     first = false;
     for (const TraceEventRecord& e : proc.events) {
-      std::string name;
-      append_escaped_full(name, e.name);
       out << ",\n    {\"ph\": \"" << e.phase << "\", \"pid\": " << proc.pid
           << ", \"tid\": " << e.tid << ", \"ts\": " << e.ts_us << ", ";
       if (e.phase == 'X') out << "\"dur\": " << e.dur_us << ", ";
       if (e.phase == 'i') out << "\"s\": \"t\", ";
-      out << "\"name\": \"" << name << "\"}";
+      out << "\"name\": \"" << json::escaped(e.name) << "\"}";
     }
   }
   out << "\n  ]\n}\n";

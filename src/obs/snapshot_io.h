@@ -7,9 +7,11 @@
 //  - metrics snapshot JSON — exactly MetricsSnapshot::to_json, written
 //    atomically (temp + rename), so a reader sees a whole file or none.
 //  - trace JSONL — one flat object per buffered span/instant
-//    ({"name": .., "ph": .., "tid": .., "ts": .., "dur": ..}); flat on
-//    purpose so the service layer's FlatJsonParser can read it, and
-//    line-oriented so a torn tail costs one event, not the file.
+//    ({"name": .., "ph": .., "tid": .., "ts": .., "dur": ..}), flat so
+//    any JSONL tool reads it, and line-oriented so a torn tail costs one
+//    event, not the file.
+//
+// Every reader and writer here uses the obs/json.h grammar.
 //  - fleet Chrome trace — the merged {"traceEvents": [...]} document
 //    with one trace `pid` per shard worker, so Perfetto shows the whole
 //    fleet on a single timeline.
@@ -32,8 +34,9 @@
 namespace lcosc::obs {
 
 // Parse a MetricsSnapshot::to_json document.  Returns false (and leaves
-// `out` empty) on malformed input.  Histograms serialized with count == 0
-// come back with min = +inf / max = -inf so they merge as identities.
+// `out` empty) on malformed input, trailing bytes or a counter that does
+// not fit 64 bits.  Histograms serialized with count == 0 come back with
+// min = +inf / max = -inf so they merge as identities.
 [[nodiscard]] bool parse_metrics_snapshot(std::string_view text, MetricsSnapshot& out);
 
 // Order-independent merge of worker snapshots: counters with the same
@@ -48,12 +51,17 @@ namespace lcosc::obs {
 // parent directories.  Returns false when the file cannot be written.
 bool write_metrics_snapshot_json(const MetricsSnapshot& snapshot, const std::string& path);
 
-// Write the given trace events as flat JSONL via temp + rename.
+// The given trace events as flat JSONL, one line per event.
+[[nodiscard]] std::string trace_jsonl(const std::vector<TraceEventRecord>& events);
+
+// Write trace_jsonl(events) to `path` via temp + rename.
 bool write_trace_jsonl(const std::vector<TraceEventRecord>& events, const std::string& path);
 
-// Parse trace JSONL.  Malformed lines (a torn tail from a killed writer)
-// are skipped, not fatal; returns false only when nothing at all could
-// be parsed from non-empty input.
+// Parse trace JSONL.  Malformed lines (a torn tail from a killed writer,
+// a tid beyond 32 bits, a non-finite timestamp, a phase other than X or
+// i) are skipped, not fatal;
+// returns false only when nothing at all could be parsed from non-empty
+// input.
 bool parse_trace_jsonl(std::string_view text, std::vector<TraceEventRecord>& out);
 
 // One trace process in the merged fleet timeline.

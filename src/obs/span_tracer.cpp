@@ -9,6 +9,7 @@
 #include <memory>
 #include <mutex>
 
+#include "obs/json.h"
 #include "obs/metrics.h"  // env_flag
 
 namespace lcosc::obs {
@@ -74,13 +75,6 @@ void push_event(TraceEventRecord&& event) {
 bool apply_trace_env() {
   g_trace_enabled.store(env_flag("LCOSC_TRACE", false), std::memory_order_relaxed);
   return true;
-}
-
-void append_escaped(std::string& out, const std::string& text) {
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) >= 0x20) out.push_back(c);
-  }
 }
 
 }  // namespace
@@ -193,13 +187,11 @@ bool write_chrome_trace(const std::string& path) {
       << "    {\"ph\": \"M\", \"pid\": 1, \"tid\": 0, \"name\": \"process_name\", "
          "\"args\": {\"name\": \"lcosc\"}}";
   for (const TraceEventRecord& e : events) {
-    std::string name;
-    append_escaped(name, e.name);
     out << ",\n    {\"ph\": \"" << e.phase << "\", \"pid\": 1, \"tid\": " << e.tid
         << ", \"ts\": " << e.ts_us << ", ";
     if (e.phase == 'X') out << "\"dur\": " << e.dur_us << ", ";
     if (e.phase == 'i') out << "\"s\": \"t\", ";
-    out << "\"name\": \"" << name << "\"}";
+    out << "\"name\": \"" << json::escaped(e.name) << "\"}";
   }
   out << "\n  ]\n}\n";
   out.flush();

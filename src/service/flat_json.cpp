@@ -1,142 +1,36 @@
 #include "service/flat_json.h"
 
-#include <cctype>
 #include <cerrno>
+#include <climits>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 #include "common/error.h"
 
 namespace lcosc::service {
 
-bool FlatJsonParser::is_digit(char c) {
-  return std::isdigit(static_cast<unsigned char>(c)) != 0;
-}
-
-void FlatJsonParser::fail(const std::string& why) const {
-  throw ConfigError(context_ + ": " + why + " (at byte " + std::to_string(pos_) + ")");
-}
-
-char FlatJsonParser::peek() const {
-  if (pos_ >= text_.size()) {
-    throw ConfigError(context_ + ": unexpected end of input (truncated file?)");
+bool read_flat_value(obs::json::Reader& in, std::string& value, bool& is_string) {
+  const char c = in.peek();
+  is_string = c == '"';
+  if (is_string) return in.string(value);
+  if (c == 't' || c == 'f') {
+    bool flag = false;
+    if (!in.boolean(flag)) return false;
+    value = flag ? "true" : "false";
+    return true;
   }
-  return text_[pos_];
-}
-
-void FlatJsonParser::expect(char c) {
-  if (peek() != c) fail(std::string("expected '") + c + "'");
-  ++pos_;
-}
-
-void FlatJsonParser::skip_ws() {
-  while (pos_ < text_.size() && std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-    ++pos_;
+  if (c != '-' && (c < '0' || c > '9')) {
+    return in.fail("expected a string, number or boolean value");
   }
+  std::string_view token;
+  if (!in.number_token(token)) return false;
+  value.assign(token);
+  return true;
 }
 
-std::string FlatJsonParser::parse_string() {
-  expect('"');
-  std::string out;
-  while (true) {
-    const char c = peek();
-    ++pos_;
-    if (c == '"') return out;
-    if (c == '\\') {
-      const char e = peek();
-      ++pos_;
-      switch (e) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'n': out.push_back('\n'); break;
-        case 't': out.push_back('\t'); break;
-        case 'r': out.push_back('\r'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'u': append_codepoint(out, parse_hex4()); break;
-        default: fail("unsupported string escape");
-      }
-    } else {
-      out.push_back(c);
-    }
-  }
-}
-
-unsigned FlatJsonParser::parse_hex4() {
-  unsigned cp = 0;
-  for (int i = 0; i < 4; ++i) {
-    const char c = peek();
-    ++pos_;
-    unsigned digit = 0;
-    if (c >= '0' && c <= '9') digit = static_cast<unsigned>(c - '0');
-    else if (c >= 'a' && c <= 'f') digit = static_cast<unsigned>(c - 'a') + 10;
-    else if (c >= 'A' && c <= 'F') digit = static_cast<unsigned>(c - 'A') + 10;
-    else fail("expected four hex digits after \\u");
-    cp = cp * 16 + digit;
-  }
-  return cp;
-}
-
-void FlatJsonParser::append_codepoint(std::string& out, unsigned cp) {
-  if (cp < 0x80) {
-    out.push_back(static_cast<char>(cp));
-  } else if (cp < 0x800) {
-    out.push_back(static_cast<char>(0xC0 | (cp >> 6)));
-    out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-  } else {
-    // BMP only: surrogate pairs never appear in the files we emit.
-    out.push_back(static_cast<char>(0xE0 | (cp >> 12)));
-    out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-    out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-  }
-}
-
-std::string FlatJsonParser::parse_keyword() {
-  for (const std::string_view kw : {"true", "false"}) {
-    if (text_.substr(pos_, kw.size()) == kw) {
-      pos_ += kw.size();
-      return std::string(kw);
-    }
-  }
-  fail("expected true or false");
-}
-
-std::string FlatJsonParser::parse_number() {
-  const std::size_t start = pos_;
-  while (pos_ < text_.size() &&
-         (is_digit(text_[pos_]) || text_[pos_] == '-' || text_[pos_] == '+' ||
-          text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E')) {
-    ++pos_;
-  }
-  if (pos_ == start) fail("expected a number");
-  return std::string(text_.substr(start, pos_ - start));
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
+void throw_flat_json_error(std::string_view context, const obs::json::Reader& in) {
+  throw ConfigError(std::string(context) + ": " + in.error() + " (at byte " +
+                    std::to_string(in.offset()) + ")");
 }
 
 double json_to_number(const std::string& key, const std::string& raw) {
@@ -150,7 +44,8 @@ double json_to_number(const std::string& key, const std::string& raw) {
 
 int json_to_int(const std::string& key, const std::string& raw) {
   const double v = json_to_number(key, raw);
-  if (v != std::floor(v)) {
+  // Range first: converting an out-of-range double to int is undefined.
+  if (v != std::floor(v) || v < INT_MIN || v > INT_MAX) {
     throw ConfigError("key '" + key + "' must be an integer");
   }
   return static_cast<int>(v);

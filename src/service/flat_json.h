@@ -1,94 +1,39 @@
-// Minimal single-pass parser for the flat JSON objects the service
-// persists (campaign specs, queue job records): string, number and
-// boolean values only, no nesting.  Strings support the full JSON escape
-// set (\" \\ \/ \n \t \r \b \f \uXXXX), enough to round-trip filesystem
-// paths with control characters; json_escape() is the matching emitter.
-// Shared by service/spec.cpp and service/queue.cpp so both sides of the
-// on-disk format agree on one grammar.
+// Flat JSON objects the service persists and reads back (campaign specs,
+// queue job records, progress snapshots, forensics rows): string, number
+// and boolean members, no nesting.  The grammar itself is obs::json's;
+// this wrapper adds the service's error model (lcosc::ConfigError) and
+// the strict scalar conversions shared by the spec and queue parsers.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
+
+#include "obs/json.h"
 
 namespace lcosc::service {
 
-class FlatJsonParser {
- public:
-  explicit FlatJsonParser(std::string_view text) : text_(text) {}
+// Reads one flat-object member value: strings decoded, numbers and
+// booleans as their raw token.
+bool read_flat_value(obs::json::Reader& in, std::string& value, bool& is_string);
+[[noreturn]] void throw_flat_json_error(std::string_view context, const obs::json::Reader& in);
 
-  // Calls visit(key, raw_value, is_string) per member.  Throws
-  // lcosc::ConfigError (prefixed with `context`) on malformed input or
-  // trailing bytes after the closing brace.
-  template <typename Visit>
-  void parse_object(Visit&& visit) {
-    skip_ws();
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-    } else {
-      while (true) {
-        skip_ws();
-        const std::string key = parse_string();
-        skip_ws();
-        expect(':');
-        skip_ws();
-        bool is_string = false;
-        std::string value;
-        const char c = peek();
-        if (c == '"') {
-          value = parse_string();
-          is_string = true;
-        } else if (c == 't' || c == 'f') {
-          value = parse_keyword();
-        } else if (c == '-' || is_digit(c)) {
-          value = parse_number();
-        } else {
-          fail("expected a string, number or boolean value");
-        }
-        visit(key, value, is_string);
-        skip_ws();
-        if (peek() == ',') {
-          ++pos_;
-          continue;
-        }
-        expect('}');
-        break;
-      }
-    }
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters after the object");
-  }
-
-  // Error-message prefix, e.g. "campaign spec" or "queue job".
-  FlatJsonParser& context(std::string label) {
-    context_ = std::move(label);
-    return *this;
-  }
-
- private:
-  static bool is_digit(char c);
-  [[noreturn]] void fail(const std::string& why) const;
-  char peek() const;
-  void expect(char c);
-  void skip_ws();
-  std::string parse_string();
-  unsigned parse_hex4();
-  void append_codepoint(std::string& out, unsigned cp);
-  std::string parse_keyword();
-  std::string parse_number();
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  std::string context_ = "flat json";
-};
-
-// Escape `s` for embedding in a JSON string literal: quotes, backslash,
-// and every control character (so emitted files are valid JSON for
-// external tooling).
-[[nodiscard]] std::string json_escape(const std::string& s);
+// Calls visit(key, raw_value, is_string) per member, in file order.
+// Throws lcosc::ConfigError ("<context>: <reason> (at byte N)") on
+// malformed input or trailing bytes after the closing brace.
+template <typename Visit>
+void parse_flat_object(std::string_view text, std::string_view context, Visit&& visit) {
+  obs::json::Reader in(text);
+  std::string value;
+  const bool ok = in.object([&](const std::string& key) {
+    bool is_string = false;
+    if (!read_flat_value(in, value, is_string)) return false;
+    visit(key, std::as_const(value), is_string);
+    return true;
+  }) && in.end();
+  if (!ok) throw_flat_json_error(context, in);
+}
 
 // Strict scalar conversions shared by the spec and queue parsers; each
 // throws lcosc::ConfigError naming `key` on mismatch.

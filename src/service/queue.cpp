@@ -125,16 +125,15 @@ CampaignSpec apply_spec_override(const CampaignSpec& templ, const std::string& k
   out << "{";
   bool found = false;
   bool first = true;
-  FlatJsonParser parser(json);
-  parser.context("spec template");
-  parser.parse_object([&](const std::string& k, const std::string& raw, bool is_string) {
+  parse_flat_object(json, "spec template", [&](const std::string& k, const std::string& raw,
+                                                bool is_string) {
     const bool here = k == key;
     found = found || here;
     const std::string& use = here ? value : raw;
-    out << (first ? "\n" : ",\n") << "  \"" << json_escape(k) << "\": ";
+    out << (first ? "\n" : ",\n") << "  \"" << obs::json::escaped(k) << "\": ";
     first = false;
     if (is_string) {
-      out << '"' << json_escape(use) << '"';
+      out << '"' << obs::json::escaped(use) << '"';
     } else {
       out << use;
     }
@@ -218,10 +217,8 @@ std::optional<JobRecord> JobQueue::read_job(const std::string& dir) const {
   if (!text) return std::nullopt;
   JobRecord job;
   try {
-    FlatJsonParser parser(*text);
-    parser.context("queue job");
-    parser.parse_object([&](const std::string& key, const std::string& raw, bool is_string) {
-      (void)is_string;
+    parse_flat_object(*text, "queue job", [&](const std::string& key, const std::string& raw,
+                                              bool) {
       if (key == "id") {
         job.id = raw;
       } else if (key == "sequence") {
@@ -394,7 +391,7 @@ void JobQueue::write_progress(const JobRecord& job, const std::vector<ShardStatu
 
   std::ostringstream out;
   out << "{\n"
-      << "  \"job\": \"" << json_escape(job.id) << "\",\n"
+      << "  \"job\": \"" << obs::json::escaped(job.id) << "\",\n"
       << "  \"state\": \"" << to_string(job.state) << "\",\n"
       << "  \"heartbeat_unix_ms\": " << heartbeat_ms << ",\n"
       << "  \"cases_total\": " << total << ",\n"
@@ -410,8 +407,8 @@ void JobQueue::write_progress(const JobRecord& job, const std::vector<ShardStatu
       << "  \"fleet_slots_in_use\": " << slots_in_use << ",\n"
       << "  \"fleet_slots_capacity\": " << slots_capacity << ",\n"
       << "  \"shards\": " << shards.size();
-  // Flat numeric keys per shard so FlatJsonParser consumers (`top`) read
-  // them without string-splitting.
+  // Flat numeric keys per shard so parse_flat_object consumers (`top`)
+  // read them without string-splitting.
   for (const ShardStatus& shard : shards) {
     const std::string prefix = "\n  \"shard_" + std::to_string(shard.index) + "_";
     out << "," << prefix << "begin\": " << shard.range.begin
@@ -428,13 +425,13 @@ void JobQueue::write_progress(const JobRecord& job, const std::vector<ShardStatu
 void JobQueue::write_job(const JobRecord& job) const {
   std::ostringstream out;
   out << "{\n"
-      << "  \"id\": \"" << json_escape(job.id) << "\",\n"
+      << "  \"id\": \"" << obs::json::escaped(job.id) << "\",\n"
       << "  \"sequence\": " << job.sequence << ",\n"
       << "  \"priority\": " << job.priority << ",\n"
       << "  \"state\": \"" << to_string(job.state) << "\",\n"
       << "  \"runs\": " << job.runs << ",\n"
       << "  \"run_order\": " << job.run_order << ",\n"
-      << "  \"error\": \"" << json_escape(job.error) << "\"\n"
+      << "  \"error\": \"" << obs::json::escaped(job.error) << "\"\n"
       << "}\n";
   if (!write_file_atomic(job.dir + "/job.json", out.str())) {
     throw Error("queue: cannot write " + job.dir + "/job.json");

@@ -160,7 +160,7 @@ class JobQueue {
   [[nodiscard]] long long max_run_order() const;
 
   // Stream the coordinator's live view into progress.json (atomic): a
-  // flat JSON object (FlatJsonParser-compatible, so `campaign_service
+  // flat JSON object (parse_flat_object reads it, so `campaign_service
   // top` and external tooling can poll it) with per-shard checkpoint
   // completion and supervision counters, a `heartbeat_unix_ms` wall
   // clock (distinguishes a slow job from a dead coordinator), fleet

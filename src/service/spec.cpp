@@ -29,9 +29,8 @@ CampaignKind parse_campaign_kind(const std::string& name) {
 
 CampaignSpec parse_campaign_spec(const std::string& json_text) {
   CampaignSpec spec;
-  FlatJsonParser parser(json_text);
-  parser.context("campaign spec");
-  parser.parse_object([&](const std::string& key, const std::string& raw, bool is_string) {
+  parse_flat_object(json_text, "campaign spec", [&](const std::string& key,
+                                                    const std::string& raw, bool is_string) {
     auto num = [&] { return json_to_number(key, raw); };
     auto integer = [&] { return json_to_int(key, raw); };
     if (key == "campaign") {
@@ -130,8 +129,8 @@ std::string to_json(const CampaignSpec& spec) {
       << "  \"case_backoff_initial_ms\": " << spec.case_backoff.initial_ms << ",\n"
       << "  \"case_backoff_multiplier\": " << spec.case_backoff.multiplier << ",\n"
       << "  \"case_backoff_max_ms\": " << spec.case_backoff.max_ms << ",\n"
-      << "  \"checkpoint_dir\": \"" << json_escape(spec.checkpoint_dir) << "\",\n"
-      << "  \"report_path\": \"" << json_escape(spec.report_path) << "\",\n"
+      << "  \"checkpoint_dir\": \"" << obs::json::escaped(spec.checkpoint_dir) << "\",\n"
+      << "  \"report_path\": \"" << obs::json::escaped(spec.report_path) << "\",\n"
       << "  \"test_kill_after_cases\": " << spec.test_kill_after_cases << ",\n"
       << "  \"test_stall_once\": " << (spec.test_stall_once ? "true" : "false") << "\n"
       << "}\n";

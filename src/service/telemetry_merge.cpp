@@ -14,10 +14,10 @@
 #include <sstream>
 
 #include "common/atomic_file.h"
+#include "obs/json.h"
 #include "obs/snapshot_io.h"
 #include "obs/span_tracer.h"
 #include "service/checkpoint.h"
-#include "service/flat_json.h"
 
 namespace lcosc::service {
 
@@ -174,9 +174,9 @@ bool append_forensics_row(const std::string& path, const ForensicsRow& row) {
   std::ostringstream line;
   line << "{\"ts_unix_ms\": " << row.ts_unix_ms << ", \"shard\": " << row.shard
        << ", \"attempt\": " << row.attempt << ", \"pid\": " << row.pid << ", \"event\": \""
-       << json_escape(row.event) << "\", \"exit_code\": " << row.exit_code
+       << obs::json::escaped(row.event) << "\", \"exit_code\": " << row.exit_code
        << ", \"signal\": " << row.signal << ", \"signal_name\": \""
-       << json_escape(row.signal == 0 ? std::string() : signal_name(row.signal))
+       << obs::json::escaped(row.signal == 0 ? std::string() : signal_name(row.signal))
        << "\", \"wall_s\": ";
   append_number(line, row.wall_s);
   line << ", \"cpu_user_s\": ";
@@ -186,7 +186,7 @@ bool append_forensics_row(const std::string& path, const ForensicsRow& row) {
   line << ", \"max_rss_kb\": " << row.max_rss_kb
        << ", \"last_checkpoint_index\": " << row.last_checkpoint_index
        << ", \"checkpoint_records\": " << row.checkpoint_records << ", \"stderr_tail\": \""
-       << json_escape(row.stderr_tail) << "\"}\n";
+       << obs::json::escaped(row.stderr_tail) << "\"}\n";
   const std::string text = line.str();
 
   const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
@@ -288,7 +288,7 @@ bool write_fleet_summary(const std::string& path, const FleetSummaryInfo& info,
 
   std::ostringstream out;
   out << "{\n"
-      << "  \"campaign\": \"" << json_escape(info.campaign) << "\",\n"
+      << "  \"campaign\": \"" << obs::json::escaped(info.campaign) << "\",\n"
       << "  \"cases_total\": " << info.cases_total << ",\n"
       << "  \"cases_resumed\": " << info.cases_resumed << ",\n"
       << "  \"cases_failed\": " << info.cases_failed << ",\n"
@@ -319,7 +319,7 @@ bool write_fleet_summary(const std::string& path, const FleetSummaryInfo& info,
   out << "  \"latency\": {";
   for (std::size_t i = 0; i < telemetry.wall_histograms.size(); ++i) {
     const obs::HistogramSnapshot& h = telemetry.wall_histograms[i];
-    out << (i == 0 ? "\n" : ",\n") << "    \"" << json_escape(h.name)
+    out << (i == 0 ? "\n" : ",\n") << "    \"" << obs::json::escaped(h.name)
         << "\": {\"count\": " << h.count << ", \"min\": ";
     append_number(out, h.count > 0 ? h.min : std::numeric_limits<double>::quiet_NaN());
     out << ", \"max\": ";

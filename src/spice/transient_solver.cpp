@@ -4,10 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
-#include <deque>
 #include <limits>
-#include <memory>
 
 #include "common/error.h"
 #include "common/logging.h"
@@ -46,7 +43,6 @@ void flush_stats_to_registry(const TransientStats& stats, std::size_t steps,
   static obs::Counter& cache_hits = registry.counter("transient.base_cache.hits");
   static obs::Counter& cache_misses = registry.counter("transient.base_cache.misses");
   static obs::Counter& cache_evictions = registry.counter("transient.base_cache.evictions");
-  static obs::Counter& shared_hits = registry.counter("transient.shared_factor.hits");
   // Converged-step Newton iteration histogram: bucket i of the stats
   // array holds steps that converged in i+1 iterations.
   static obs::Histogram& newton_hist = registry.histogram(
@@ -76,7 +72,6 @@ void flush_stats_to_registry(const TransientStats& stats, std::size_t steps,
   cache_hits.add(stats.base_cache_hits);
   cache_misses.add(stats.base_cache_misses);
   cache_evictions.add(stats.base_cache_evictions);
-  shared_hits.add(stats.shared_factor_hits);
   for (std::size_t i = 0; i < stats.newton_histogram.size(); ++i) {
     newton_hist.record_many(static_cast<double>(i + 1), stats.newton_histogram[i]);
   }
@@ -105,7 +100,6 @@ TransientStats& TransientStats::operator+=(const TransientStats& other) {
   base_cache_hits += other.base_cache_hits;
   base_cache_misses += other.base_cache_misses;
   base_cache_evictions += other.base_cache_evictions;
-  shared_factor_hits += other.shared_factor_hits;
   for (std::size_t i = 0; i < newton_histogram.size(); ++i) {
     newton_histogram[i] += other.newton_histogram[i];
   }
@@ -133,74 +127,14 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-// Bit-exact matrix equality.  Plain == would be almost right, but LU with
-// partial pivoting is a pure function of the matrix BYTES: treating
-// +0.0 == -0.0 entries as "the same system" could hand a variant a factor
-// whose sign-of-zero products differ from what its own factorization
-// would produce.  Sharing only on byte equality keeps the shared-factor
-// solve bit-identical to the unshared one by construction.
-bool same_matrix_bits(const Matrix& x, const Matrix& y) {
-  if (x.rows() != y.rows() || x.cols() != y.cols()) return false;
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    for (std::size_t c = 0; c < x.cols(); ++c) {
-      const double xv = x(r, c);
-      const double yv = y(r, c);
-      std::uint64_t xb = 0;
-      std::uint64_t yb = 0;
-      std::memcpy(&xb, &xv, sizeof(xb));
-      std::memcpy(&yb, &yv, sizeof(yb));
-      if (xb != yb) return false;
-    }
-  }
-  return true;
-}
-
-// Batch-wide pool of linear base factorizations, keyed (dt, base-matrix
-// bytes).  The first variant to factor a given system publishes a copy of
-// its LU; later variants with a bit-identical base reuse it instead of
-// refactoring -- the cross-case extension of the per-run dt-keyed cache.
-// Deque storage keeps published factors at stable addresses while the
-// pool grows.  Lookup is a linear scan: batches hold at most a handful of
-// distinct base systems (that is the point of sharing), so a scan beats
-// hashing matrix bytes.  Single-threaded by design: the lockstep batch
-// loop advances variants sequentially.
-class SharedFactorPool {
- public:
-  [[nodiscard]] const LuDecomposition* find(double dt, const Matrix& a) const {
-    for (const auto& entry : entries_) {
-      if (entry.dt == dt && same_matrix_bits(entry.a, a)) return &entry.lu;
-    }
-    return nullptr;
-  }
-
-  void publish(double dt, const Matrix& a, const LuDecomposition& lu) {
-    entries_.push_back({dt, a, lu});
-  }
-
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
-
- private:
-  struct Entry {
-    double dt = 0.0;
-    Matrix a;
-    LuDecomposition lu;
-  };
-  std::deque<Entry> entries_;
-};
-
 // Per-run workspace: the element partition, the dt-keyed cache of linear
 // base systems, the Newton work buffers, and the reusable LU factors.
 // Everything lives for one run_transient call, so element parameter
 // changes between runs can never be observed through a stale cache.
 class TransientWorkspace {
  public:
-  // `pool` is the optional batch-wide shared-factor pool (run_transient_batch
-  // with reuse_lu = true); single-run transients pass nullptr and behave
-  // exactly as before.
-  TransientWorkspace(Circuit& circuit, const TransientOptions& options,
-                     SharedFactorPool* pool = nullptr)
+  TransientWorkspace(Circuit& circuit, const TransientOptions& options)
       : options_(options),
-        pool_(pool),
         n_(circuit.unknown_count()),
         voltage_count_(circuit.node_count() - 1),
         cache_capacity_(std::max<std::size_t>(options.base_cache_capacity, 1)) {
@@ -241,32 +175,15 @@ class TransientWorkspace {
     if (linear()) {
       ++stats.newton_iterations;
       if (!current_->factor_valid) {
-        // Batched runs: another variant may already have factored this
-        // exact (dt, base-matrix bytes) system.  LU with partial pivoting
-        // is a pure function of the matrix bytes, so reusing the
-        // published factor is bit-identical to factoring our own copy.
-        const LuDecomposition* shared =
-            pool_ != nullptr ? pool_->find(current_->dt, current_->a) : nullptr;
-        if (shared != nullptr) {
-          current_->shared = shared;
-          current_->factor_valid = true;
-          ++stats.shared_factor_hits;
-        } else {
-          const auto t0 = Clock::now();
-          const bool ok = current_->lu.factor(current_->a);
-          stats.factor_seconds += seconds_since(t0);
-          ++stats.factorizations;
-          if (!ok) return false;
-          current_->factor_valid = true;
-          // Publish first-wins: later variants with the same base reuse
-          // this factor for the rest of the batch.
-          if (pool_ != nullptr) pool_->publish(current_->dt, current_->a, current_->lu);
-        }
+        const auto t0 = Clock::now();
+        const bool ok = current_->lu.factor(current_->a);
+        stats.factor_seconds += seconds_since(t0);
+        ++stats.factorizations;
+        if (!ok) return false;
+        current_->factor_valid = true;
       }
-      const LuDecomposition& lu =
-          current_->shared != nullptr ? *current_->shared : current_->lu;
       const auto t0 = Clock::now();
-      const bool solved = lu.try_solve(b_step_, x_new_);
+      const bool solved = current_->lu.try_solve(b_step_, x_new_);
       stats.solve_seconds += seconds_since(t0);
       ++stats.rhs_solves;
       if (!solved) return false;
@@ -326,10 +243,6 @@ class TransientWorkspace {
     Matrix a;
     Vector b;
     LuDecomposition lu;
-    // Batch-shared factor borrowed from the SharedFactorPool instead of
-    // lu; non-null implies factor_valid.  Pool entries are address-stable
-    // (deque) and outlive every workspace in the batch.
-    const LuDecomposition* shared = nullptr;
     bool factor_valid = false;
     std::uint64_t last_use = 0;
   };
@@ -382,7 +295,6 @@ class TransientWorkspace {
     for (std::size_t i = 0; i < voltage_count_; ++i) entry.a(i, i) += options_.gmin;
     entry.dt = ctx.dt;
     entry.factor_valid = false;
-    entry.shared = nullptr;
     entry.last_use = ++use_tick_;
     ++stats.matrix_stamps;
     stats.stamp_seconds += seconds_since(t0);
@@ -424,7 +336,6 @@ class TransientWorkspace {
   }
 
   const TransientOptions& options_;
-  SharedFactorPool* pool_;  // batch-wide factor pool, or nullptr
   std::size_t n_;
   std::size_t voltage_count_;
   std::size_t cache_capacity_;
@@ -456,14 +367,11 @@ struct RunSetup {
 
 // --- fixed-step loop (the historical solver; bit-identical contract) --------
 
-// Resumable fixed-step loop: construction performs everything run_fixed
+// Fixed-step loop: construction performs everything the historical loop
 // did before its first iteration, and each advance() call executes
-// exactly one iteration of the historical loop body.  run_fixed drains
-// the stepper to completion; run_transient_batch interleaves one
-// advance() per variant so the whole batch moves through time in
-// lockstep (which is what lets the shared-factor pool fill before most
-// variants reach their first factorization).  The operation sequence per
-// variant is byte-for-byte the old loop, so traces are bit-identical.
+// exactly one iteration of its body; run_fixed drains the stepper to
+// completion.  The operation sequence is byte-for-byte the old loop, so
+// traces are bit-identical.
 class FixedStepper {
  public:
   FixedStepper(RunSetup& setup, TransientWorkspace& ws, TransientResult& result)
@@ -803,81 +711,6 @@ TransientResult run_transient(Circuit& circuit, const TransientOptions& options,
   }
   flush_stats_to_registry(result.stats, result.steps, result.failed_steps);
   return result;
-}
-
-std::vector<TransientResult> run_transient_batch(const std::vector<Circuit*>& circuits,
-                                                 const TransientOptions& options,
-                                                 const std::vector<std::string>& probe_nodes) {
-  LCOSC_SPAN("transient.batch_run");
-  LCOSC_REQUIRE(!options.adaptive, "run_transient_batch supports fixed-step runs only");
-  LCOSC_REQUIRE(options.dt > 0.0, "transient dt must be positive");
-  LCOSC_REQUIRE(options.t_stop > 0.0, "transient t_stop must be positive");
-  for (Circuit* circuit : circuits) {
-    LCOSC_REQUIRE(circuit != nullptr, "run_transient_batch circuit must not be null");
-  }
-
-  const std::size_t count = circuits.size();
-  std::vector<TransientResult> results(count);
-  if (count == 0) return results;
-
-  // Cross-case sharing only makes sense on the cached path; the
-  // reuse_lu = false reference re-factors every iteration by contract.
-  SharedFactorPool pool;
-  SharedFactorPool* pool_ptr = options.reuse_lu ? &pool : nullptr;
-
-  // Per-variant preamble, identical to run_transient: DC operating point,
-  // transient history init, private workspace.  Workspaces and steppers
-  // live in unique_ptrs because they hold references into their setup.
-  std::vector<RunSetup> setups(count);
-  std::vector<std::unique_ptr<TransientWorkspace>> workspaces;
-  std::vector<std::unique_ptr<FixedStepper>> steppers;
-  workspaces.reserve(count);
-  steppers.reserve(count);
-  for (std::size_t v = 0; v < count; ++v) {
-    Circuit& circuit = *circuits[v];
-    circuit.finalize();
-    const std::size_t n = circuit.unknown_count();
-
-    RunSetup& setup = setups[v];
-    setup.circuit = &circuit;
-    setup.options = &options;
-    setup.probes.reserve(probe_nodes.size());
-    for (const auto& name : probe_nodes) setup.probes.push_back(circuit.node(name));
-
-    TransientResult& result = results[v];
-    result.traces.reserve(probe_nodes.size());
-    for (const auto& name : probe_nodes) result.traces.emplace_back(name);
-
-    setup.x.assign(n, 0.0);
-    if (options.start_from_dc) {
-      const DcSolution op = solve_dc(circuit);
-      if (op.converged) setup.x = op.x;
-    }
-    for (const auto& element : circuit.elements()) {
-      element->transient_begin(options.start_from_dc ? &setup.x : nullptr);
-    }
-
-    workspaces.push_back(std::make_unique<TransientWorkspace>(circuit, options, pool_ptr));
-    steppers.push_back(std::make_unique<FixedStepper>(setups[v], *workspaces.back(), result));
-  }
-
-  // Lockstep round-robin: one step per variant per sweep.  All variants
-  // share the same (dt, t_stop), so they finish together; the loop shape
-  // only matters for how early the factor pool fills.
-  bool any_running = true;
-  while (any_running) {
-    any_running = false;
-    for (auto& stepper : steppers) {
-      if (stepper->done()) continue;
-      stepper->advance();
-      any_running = true;
-    }
-  }
-
-  for (const auto& result : results) {
-    flush_stats_to_registry(result.stats, result.steps, result.failed_steps);
-  }
-  return results;
 }
 
 }  // namespace lcosc::spice

@@ -119,9 +119,6 @@ struct TransientStats {
   std::size_t base_cache_hits = 0;
   std::size_t base_cache_misses = 0;
   std::size_t base_cache_evictions = 0;
-  // Batched runs only: factorizations avoided because another variant in
-  // the batch already factored a bit-identical (dt, base matrix) system.
-  std::size_t shared_factor_hits = 0;
   // Converged-step iteration histogram (see kNewtonHistogramBuckets).
   std::array<std::size_t, kNewtonHistogramBuckets> newton_histogram{};
   // Accepted-step size histogram in octaves relative to the output dt
@@ -150,22 +147,5 @@ struct TransientResult {
 // Run transient analysis recording the voltages of `probe_nodes`.
 [[nodiscard]] TransientResult run_transient(Circuit& circuit, const TransientOptions& options,
                                             const std::vector<std::string>& probe_nodes);
-
-// Batched lockstep transient: advance N variant circuits through one
-// shared time loop (fixed-step only; options.adaptive must be false).
-// Each variant gets its own workspace and dt-keyed base cache, and the
-// per-variant results are bit-identical to N independent run_transient
-// calls -- the stepping arithmetic is byte-for-byte the same code.  What
-// the batch adds is cross-case LU sharing (DESIGN.md §12): with
-// reuse_lu = true, the first variant to factor a linear base system for a
-// given (dt, base-matrix bytes) publishes the factor to a batch-wide
-// pool, and every later variant whose base matches bit-for-bit reuses it
-// instead of refactoring (stats.shared_factor_hits counts the reuse).
-// Variants whose sampled parameters perturb the matrix simply miss the
-// pool and factor their own base.  With reuse_lu = false (the reference
-// path) no sharing happens at all.
-[[nodiscard]] std::vector<TransientResult> run_transient_batch(
-    const std::vector<Circuit*>& circuits, const TransientOptions& options,
-    const std::vector<std::string>& probe_nodes);
 
 }  // namespace lcosc::spice

@@ -128,16 +128,23 @@ MetricsSnapshot sample_snapshot() {
 }
 
 TEST(FleetObsSnapshotIo, ToJsonRoundTripsThroughTheParser) {
-  const MetricsSnapshot original = sample_snapshot();
-  MetricsSnapshot parsed;
-  ASSERT_TRUE(parse_metrics_snapshot(original.to_json(), parsed));
-  EXPECT_EQ(parsed.counters, original.counters);
-  ASSERT_EQ(parsed.gauges.size(), 1u);
-  EXPECT_EQ(parsed.gauges[0], original.gauges[0]);
-  ASSERT_EQ(parsed.histograms.size(), 1u);
-  EXPECT_EQ(parsed.histograms[0], original.histograms[0]);
-  // And the canonical byte form is reproduced exactly.
-  EXPECT_EQ(parsed.to_json(), original.to_json());
+  // Names with a quote, a backslash or a tab must be escaped on the way
+  // out, or the second parse fails.
+  MetricsSnapshot quoted = sample_snapshot();
+  quoted.counters[0].name = "a\"b";
+  quoted.gauges[0].name = "back\\slash";
+  quoted.histograms[0].name = "tab\there";
+  for (const MetricsSnapshot& original : {sample_snapshot(), quoted}) {
+    MetricsSnapshot parsed;
+    ASSERT_TRUE(parse_metrics_snapshot(original.to_json(), parsed));
+    EXPECT_EQ(parsed.counters, original.counters);
+    ASSERT_EQ(parsed.gauges.size(), 1u);
+    EXPECT_EQ(parsed.gauges[0], original.gauges[0]);
+    ASSERT_EQ(parsed.histograms.size(), 1u);
+    EXPECT_EQ(parsed.histograms[0], original.histograms[0]);
+    // And the canonical byte form is reproduced exactly.
+    EXPECT_EQ(parsed.to_json(), original.to_json());
+  }
 }
 
 TEST(FleetObsSnapshotIo, EmptyHistogramParsesAsMergeIdentity) {
@@ -162,7 +169,18 @@ TEST(FleetObsSnapshotIo, MalformedInputIsRejectedNotCrashed) {
   // A counts/bounds length mismatch is structural corruption.
   EXPECT_FALSE(parse_metrics_snapshot(
       R"({"histograms": {"h": {"bounds": [1], "counts": [1], "count": 1}}})", out));
+  // Trailing bytes after the document, and a counter past 2^64 - 1 (no
+  // silent clamp).
+  EXPECT_FALSE(parse_metrics_snapshot(R"({"counters": {"a": 1}}garbage)", out));
+  EXPECT_FALSE(parse_metrics_snapshot(R"({"counters": {"a": 18446744073709551616}})", out));
   EXPECT_TRUE(out.counters.empty());
+}
+
+TEST(FleetObsSnapshotIo, UnicodeEscapesInNamesDecodeToUtf8) {
+  MetricsSnapshot parsed;
+  ASSERT_TRUE(parse_metrics_snapshot(R"({"counters": {"caf\u00e9": 1}})", parsed));
+  ASSERT_EQ(parsed.counters.size(), 1u);
+  EXPECT_EQ(parsed.counters[0].name, "caf\xc3\xa9");
 }
 
 TEST(FleetObsSnapshotIo, MergeIsOrderIndependentAndByteStable) {
@@ -247,6 +265,10 @@ TEST_F(FleetObsFiles, TornTailLosesOneLineNotTheFile) {
   parsed.clear();
   EXPECT_FALSE(parse_trace_jsonl("garbage\nmore garbage", parsed));
   EXPECT_TRUE(parse_trace_jsonl("", parsed));
+  // A tid past 32 bits is a bad line, never truncated to another thread.
+  EXPECT_FALSE(parse_trace_jsonl(
+      R"({"name": "x", "ph": "X", "tid": 4294967297, "ts": 1, "dur": 1})", parsed));
+  EXPECT_TRUE(parsed.empty());
 }
 
 TEST_F(FleetObsFiles, FleetChromeTraceIsValidJsonWithPerPidMonotoneTimestamps) {
@@ -346,12 +368,12 @@ TEST_F(FleetObsFiles, ForensicsRowsAppendAsParseableFlatJsonl) {
   while (std::getline(in, line)) {
     ++rows;
     EXPECT_TRUE(JsonValidator(line).valid()) << line;
-    // Every row is a flat object the service-side FlatJsonParser reads.
+    // Every row is a flat object the service-side parse_flat_object reads.
     std::map<std::string, std::string> fields;
-    service::FlatJsonParser(line).context("forensics").parse_object(
-        [&](const std::string& key, const std::string& value, bool) {
-          fields[key] = value;
-        });
+    service::parse_flat_object(line, "forensics",
+                               [&](const std::string& key, const std::string& value, bool) {
+                                 fields[key] = value;
+                               });
     EXPECT_EQ(fields.at("shard"), "2");
     EXPECT_EQ(fields.at("attempt"), "3");
     EXPECT_EQ(fields.at("last_checkpoint_index"), "17");

@@ -265,6 +265,7 @@ TEST_F(ObsTest, WriteChromeTraceProducesLoadableJson) {
     LCOSC_SPAN("file.span");
   }
   trace_instant("file.instant");
+  trace_instant("tab\tin name");
   const std::string path = "obs_test_artifacts/trace_unit.json";
   ASSERT_TRUE(write_chrome_trace(path));
 
@@ -277,6 +278,8 @@ TEST_F(ObsTest, WriteChromeTraceProducesLoadableJson) {
   EXPECT_NE(json.find("\"file.span\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"i\""), std::string::npos);
+  // Control characters are escaped, not dropped.
+  EXPECT_NE(json.find("\"tab\\tin name\""), std::string::npos);
   std::filesystem::remove_all("obs_test_artifacts");
 }
 

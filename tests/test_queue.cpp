@@ -366,12 +366,14 @@ TEST_F(QueueTest, ProgressCountsCheckpointedCasesPerShard) {
   ASSERT_TRUE(fs::exists(progress_path));
 
   // The snapshot is one flat JSON object a poller (`campaign_service
-  // top`) reads with FlatJsonParser: a wall-clock heartbeat to tell a
+  // top`) reads with parse_flat_object: a wall-clock heartbeat to tell a
   // slow job from a dead coordinator, fleet slot utilization, and flat
   // per-shard keys.
   std::map<std::string, std::string> fields;
-  FlatJsonParser(file_bytes(progress_path)).context("progress").parse_object(
-      [&](const std::string& key, const std::string& value, bool) { fields[key] = value; });
+  parse_flat_object(file_bytes(progress_path), "progress",
+                    [&](const std::string& key, const std::string& value, bool) {
+                      fields[key] = value;
+                    });
   ASSERT_TRUE(fields.count("heartbeat_unix_ms"));
   EXPECT_GT(std::stoll(fields.at("heartbeat_unix_ms")), 1700000000000LL)
       << "heartbeat must be unix wall-clock milliseconds";

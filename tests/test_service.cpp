@@ -75,10 +75,10 @@ std::vector<std::map<std::string, std::string>> forensics_rows(
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     std::map<std::string, std::string> fields;
-    FlatJsonParser(line).context("forensics").parse_object(
-        [&](const std::string& key, const std::string& value, bool) {
-          fields[key] = value;
-        });
+    parse_flat_object(line, "forensics",
+                      [&](const std::string& key, const std::string& value, bool) {
+                        fields[key] = value;
+                      });
     rows.push_back(std::move(fields));
   }
   return rows;
@@ -160,6 +160,12 @@ TEST(ServiceSpec, RejectsUnknownKeysAndBadValues) {
   EXPECT_THROW((void)parse_campaign_spec(R"({"test_stall_once": "yes"})"), ConfigError);
   EXPECT_THROW((void)parse_campaign_spec(R"({"samples": 4)"), ConfigError);  // truncated
   EXPECT_THROW((void)parse_campaign_spec(R"({"samples": 4} trailing)"), ConfigError);
+  // Integers beyond int are refused, never narrowed (a double-to-int cast
+  // out of range is undefined behaviour).
+  EXPECT_THROW((void)parse_campaign_spec(R"({"test_kill_after_cases": 3e9})"), ConfigError);
+  EXPECT_THROW((void)parse_campaign_spec(R"({"case_backoff_max_ms": -1e10})"), ConfigError);
+  EXPECT_EQ(parse_campaign_spec(R"({"test_kill_after_cases": 2147483647})").test_kill_after_cases,
+            2147483647);
 }
 
 TEST(ServiceSpec, SeedRoundTripsExactlyAbove53Bits) {
