@@ -7,6 +7,7 @@
 #include "dac/current_mirror.h"
 #include "numeric/lu.h"
 #include "numeric/ode.h"
+#include "service/spec.h"
 #include "spice/circuit.h"
 #include "spice/dc_solver.h"
 #include "spice/transient_solver.h"
@@ -175,6 +176,22 @@ void BM_CycleAccurateSimMillisecond(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CycleAccurateSimMillisecond);
+
+// The spec.json round trip a campaign-service coordinator and each of
+// its shard workers make before the first case: an internal-FMEA spec at
+// the campaign benchmark's injection instant 6 + (k - 16)/128 ms, k =
+// state.range(0).
+void BM_CampaignSpecRoundTrip(benchmark::State& state) {
+  service::CampaignSpec spec;
+  spec.kind = service::CampaignKind::InternalFmea;
+  spec.settle_time = (6.0 + static_cast<double>(state.range(0) - 16) / 128.0) * 1e-3;
+  spec.observe_time = 16e-3 - spec.settle_time;
+  spec.shards = 2;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(service::parse_campaign_spec(service::to_json(spec)).observe_time);
+  }
+}
+BENCHMARK(BM_CampaignSpecRoundTrip)->Arg(11);
 
 }  // namespace
 

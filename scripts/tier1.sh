@@ -47,11 +47,12 @@ if [[ "${1:-}" == "--sanitize" ]]; then
   cd build-asan
   # gtest_discover_tests registers Suite.Case names; match the suites of
   # the fault-injection, campaign and batched-lockstep binaries, the
-  # flush-to-zero guard's throw paths, and the JSON reader with its
-  # seeded mutation fuzzer.  (-R must precede the bare -j or ctest
-  # parses it as the job count.)
+  # flush-to-zero guard's throw paths, the trajectory-sharing fault sweep,
+  # same-instant scenario events, and the JSON reader with its seeded
+  # mutation fuzzer.  (-R must precede the bare -j or ctest parses it as
+  # the job count.)
   ctest --output-on-failure \
-    -R '^(Campaign|Internal|Fault|Fmea|Parallel|System|Tolerance|Batched|DeviceBanks|Checkpoint|NumericNameLess|Service|Queue|FleetObs|RunSession|FlushToZero|TelemetryDeterminism|Json)' -j
+    -R '^(Campaign|Internal|Fault|Fmea|Parallel|System|Tolerance|Batched|DeviceBanks|Checkpoint|NumericNameLess|Service|Queue|FleetObs|RunSession|FlushToZero|TelemetryDeterminism|Json|SharedTrajectory|Scenario)' -j
   exit 0
 fi
 
@@ -59,7 +60,7 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # ThreadSanitizer pass over everything that runs worker threads: the
   # telemetry layer (sharded metrics, per-thread trace buffers, the event
   # log mutex), the thread-pool engine and the campaign runners (4 workers
-  # copying one const settle prefix).  IPO is off: TSan instrumentation
+  # copying one const settle prefix, one shared-trajectory group each).  IPO is off: TSan instrumentation
   # and LTO interact badly on some toolchains.
   cmake -B build-tsan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -68,7 +69,7 @@ if [[ "${1:-}" == "--tsan" ]]; then
   cmake --build build-tsan -j
   cd build-tsan
   ctest --output-on-failure \
-    -R '^(Obs|Telemetry|JsonValidator|Campaign|Internal|Fault|Fmea|Parallel|System|Checkpoint|NumericNameLess|Service|Queue|FleetObs|RunSession|FlushToZero)' -j
+    -R '^(Obs|Telemetry|JsonValidator|Campaign|Internal|Fault|Fmea|Parallel|System|Checkpoint|NumericNameLess|Service|Queue|FleetObs|RunSession|FlushToZero|SharedTrajectory)' -j
   exit 0
 fi
 
@@ -147,6 +148,28 @@ echo "chunked drain smoke: per-case and lockstep-chunked reports byte-identical"
   --quiet >/dev/null
 cmp "$smoke_dir/fmea_ref_report.txt" "$smoke_dir/fmea_chunk1_report.txt"
 echo "fmea chunked drain smoke: per-case and shared-prefix reports byte-identical"
+
+# Internal FMEA (DESIGN.md §18): in the single-process run, faults whose
+# drive stages agree share one continuation of the span's settle prefix;
+# across 3 shards with one case per chunk nothing is shared.  Then the
+# merged telemetry: metrics.json byte-identical for 2 and 3 shards,
+# whatever groups each layout forms.
+printf '{"campaign": "internal_fmea", "settle_ms": 1, "observe_ms": 3}\n' \
+  > "$smoke_dir/ifmea_spec.json"
+"$svc" --spec "$smoke_dir/ifmea_spec.json" --shards 1 \
+  --checkpoint-dir "$smoke_dir/ifmea_ref" --report "$smoke_dir/ifmea_ref_report.txt" \
+  --quiet >/dev/null
+"$svc" --spec "$smoke_dir/ifmea_spec.json" --shards 3 --chunk-lanes 1 \
+  --checkpoint-dir "$smoke_dir/ifmea_chunk1" --report "$smoke_dir/ifmea_chunk1_report.txt" \
+  --quiet >/dev/null
+cmp "$smoke_dir/ifmea_ref_report.txt" "$smoke_dir/ifmea_chunk1_report.txt"
+for shards in 2 3; do
+  LCOSC_METRICS=1 "$svc" --spec "$smoke_dir/ifmea_spec.json" --shards "$shards" \
+    --checkpoint-dir "$smoke_dir/ifmea_obs$shards" \
+    --report "$smoke_dir/ifmea_obs${shards}_report.txt" --quiet >/dev/null
+done
+cmp "$smoke_dir/ifmea_obs2/telemetry/metrics.json" "$smoke_dir/ifmea_obs3/telemetry/metrics.json"
+echo "internal fmea smoke: shared-trajectory and per-case reports and merged metrics byte-identical"
 
 # Smoke step: multi-job campaign queue (DESIGN.md §14).  Submit two jobs
 # at different priorities, kill -9 the draining coordinator mid-run,

@@ -128,6 +128,13 @@ class OscillatorDriver {
   // construction bit for bit.
   [[nodiscard]] GmStage differential_port_stage() const;
 
+  // The stage output() evaluates at the present code, fault-bus hooks
+  // applied: gm = equivalent_gm(), current_limit = current_limit().  Every
+  // output of the driver is a function of these values, so two
+  // copies of one driver whose effective stages are bitwise equal behave
+  // identically.
+  [[nodiscard]] const GmStageConfig& effective_stage() const { return stage().config(); }
+
   [[nodiscard]] const DriverConfig& config() const { return config_; }
 
  private:

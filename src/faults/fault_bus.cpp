@@ -45,4 +45,23 @@ void FaultBus::inject(const InternalFault& fault) {
   }
 }
 
+bool acts_only_through_drive_stage(const InternalFault& fault) {
+  switch (fault.kind) {
+    case InternalFaultKind::DacLineStuck:
+    case InternalFaultKind::DacSegmentDead:
+    case InternalFaultKind::GmCollapse:
+      return true;
+    case InternalFaultKind::None:
+    case InternalFaultKind::WindowStuckHigh:
+    case InternalFaultKind::WindowStuckLow:
+    case InternalFaultKind::RectifierDead:
+    case InternalFaultKind::FsmFrozen:
+    case InternalFaultKind::WatchdogDead:
+    case InternalFaultKind::SelfTestThrow:
+    case InternalFaultKind::SelfTestStall:
+      return false;
+  }
+  return false;
+}
+
 }  // namespace lcosc::faults

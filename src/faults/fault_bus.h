@@ -82,4 +82,29 @@ class FaultBus {
   std::uint64_t revision_ = 0;
 };
 
+// True when `fault` reaches the system only through the driver's
+// effective Gm stage: the equivalent transconductance and the DAC current
+// limit at the present code.  Two such faults whose stages are bitwise
+// equal at every code a run visits give bit-identical runs, which lets
+// the fault sweep run them once (system/fault_sweep.h, DESIGN.md §18).
+//
+// Checked against every hook above and every block that reads it:
+//   apply_stuck    PwlExponentialDac::multiplication (OscD/E/F -> current
+//                  limit), OscillatorDriver::equivalent_gm (OscE -> stage
+//                  count): inside the stage.
+//   segment_dead   PwlExponentialDac::multiplication: inside the stage.
+//   gm_scale       OscillatorDriver::equivalent_gm: inside the stage.
+//   active         gates the two readers above and
+//                  AmplitudeDetector::window_state, whose override is None
+//                  for these kinds.
+//   window_override, rectifier_dead, fsm_frozen, watchdog_dead, stalled
+//                  (detector, FSM, safety controller, system loop): false
+//                  or None for these kinds.
+//   revision, fault
+//                  cache key of the driver's stage / accessor: no effect
+//                  on a result.
+// Kinds: DacLineStuck, DacSegmentDead and GmCollapse.  A new hook, or a
+// new reader of one, must be checked against this list.
+[[nodiscard]] bool acts_only_through_drive_stage(const InternalFault& fault);
+
 }  // namespace lcosc::faults

@@ -47,11 +47,11 @@ void RegulationFsm::por_reset() {
   tally_ = {};
 }
 
-void RegulationFsm::flush_metrics() {
+void RegulationFsm::flush_metrics(std::uint64_t runs) {
   // A counter is registered on its first non-zero flush, as it was when
   // tick() counted live, so snapshots list the same names.
-  auto publish = [](const char* name, std::uint64_t n) {
-    if (n > 0) obs::MetricsRegistry::instance().counter(name).add(n);
+  auto publish = [runs](const char* name, std::uint64_t n) {
+    if (n > 0) obs::MetricsRegistry::instance().counter(name).add(runs * n);
   };
   publish("fsm.ticks", tally_.ticks);
   publish("fsm.code_changes", tally_.code_changes);

@@ -64,9 +64,11 @@ class RegulationFsm {
   // The fsm.* counters are tallied in the FSM and reach the metrics
   // registry only here, when the owner's run ends; a copied FSM carries
   // its tally along.  So a run resumed from a shared settle prefix counts
-  // that prefix exactly like a straight run (DESIGN.md §17).  Clears the
-  // tally; por_reset() discards an unpublished one.
-  void flush_metrics();
+  // that prefix exactly like a straight run (DESIGN.md §17).  `runs` > 1
+  // publishes the tally once per run it stands for (a trajectory shared
+  // by several fault cases, DESIGN.md §18).  Clears the tally;
+  // por_reset() discards an unpublished one.
+  void flush_metrics(std::uint64_t runs = 1);
 
  private:
   struct Tally {

@@ -64,14 +64,14 @@ FaultFlags SafetyController::flags() const {
           .frequency_out_of_band = frequency_.fault()};
 }
 
-void SafetyController::flush_metrics() {
+void SafetyController::flush_metrics(std::uint64_t runs) {
   // Counters are registered on their first non-zero flush, as they were
   // when trips counted live, so snapshots list the same names.
   auto& registry = obs::MetricsRegistry::instance();
   for (std::size_t c = 0; c < kChannels.size(); ++c) {
     if (trips_[c] == 0) continue;
-    registry.counter("safety.trips").add(trips_[c]);
-    registry.counter(std::string("safety.trips.") + kChannels[c]).add(trips_[c]);
+    registry.counter("safety.trips").add(runs * trips_[c]);
+    registry.counter(std::string("safety.trips.") + kChannels[c]).add(runs * trips_[c]);
   }
   trips_ = {};
 }

@@ -58,8 +58,10 @@ class SafetyController {
 
   // Publish the tallied safety.trips counters and clear the tally.  The
   // owner calls this when its run ends, so a run resumed from a copied
-  // prefix counts that prefix's trips exactly once (DESIGN.md §17).
-  void flush_metrics();
+  // prefix counts that prefix's trips exactly once (DESIGN.md §17);
+  // `runs` > 1 publishes them once per run a shared trajectory stands for
+  // (DESIGN.md §18).
+  void flush_metrics(std::uint64_t runs = 1);
 
   [[nodiscard]] FaultFlags flags() const;
   [[nodiscard]] bool safe_state_requested() const { return flags().any(); }

@@ -115,9 +115,12 @@ void OscillatorSystem::schedule_internal_fault(const faults::InternalFault& faul
 
 void OscillatorSystem::schedule_event(double at_time, ScenarioAction action) {
   LCOSC_REQUIRE(at_time >= 0.0, "event time must be non-negative");
-  events_.push_back({at_time, std::move(action)});
-  std::sort(events_.begin(), events_.end(),
-            [](const TimedEvent& a, const TimedEvent& b) { return a.time < b.time; });
+  // After every event at or before at_time: events of one instant apply
+  // in the order they were scheduled.
+  const auto at = std::upper_bound(
+      events_.begin(), events_.end(), at_time,
+      [](double time, const TimedEvent& event) { return time < event.time; });
+  events_.insert(at, {at_time, std::move(action)});
 }
 
 OscillatorSystem::TankState OscillatorSystem::derivatives(const TankState& s,
@@ -353,9 +356,7 @@ void OscillatorSystem::advance_run(RunState& rs, double stop_time) {
       tick.vdc1 = detector_.vdc1();
       tick.window = detector_.window_state();
       tick.faults = safety_.flags();
-      const double amplitude =
-          regulation::AmplitudeDetector::vdc1_to_amplitude(detector_.vdc1());
-      tick.supply_current = driver_.supply_current(amplitude);
+      tick.supply_current = tick_supply_current();
       result.ticks.push_back(tick);
 
       rs.next_tick += fsm_.config().tick_period;
@@ -364,24 +365,29 @@ void OscillatorSystem::advance_run(RunState& rs, double stop_time) {
   }
 }
 
-void OscillatorSystem::flush_loop_metrics() {
-  fsm_.flush_metrics();
-  safety_.flush_metrics();
+double OscillatorSystem::tick_supply_current() const {
+  return driver_.supply_current(
+      regulation::AmplitudeDetector::vdc1_to_amplitude(detector_.vdc1()));
 }
 
-SimulationResult OscillatorSystem::finish_run(RunState& rs) {
+void OscillatorSystem::flush_loop_metrics(std::uint64_t runs) {
+  fsm_.flush_metrics(runs);
+  safety_.flush_metrics(runs);
+}
+
+SimulationResult OscillatorSystem::finish_run(RunState& rs, std::uint64_t runs) {
   rs.result.final_faults = safety_.flags();
   rs.result.final_code = fsm_.code();
   rs.result.final_mode = fsm_.mode();
-  flush_loop_metrics();
+  flush_loop_metrics(runs);
   if (obs::metrics_enabled()) {
     auto& registry = obs::MetricsRegistry::instance();
-    static obs::Counter& runs = registry.counter("system.runs");
+    static obs::Counter& run_count = registry.counter("system.runs");
     static obs::Counter& steps = registry.counter("system.steps");
     static obs::Counter& ticks = registry.counter("system.ticks");
-    runs.add(1);
-    steps.add(rs.total_steps);
-    ticks.add(rs.result.ticks.size());
+    run_count.add(runs);
+    steps.add(runs * rs.total_steps);
+    ticks.add(runs * rs.result.ticks.size());
   }
   return std::move(rs.result);
 }
@@ -424,10 +430,31 @@ void RunSession::inject(ScenarioAction action) {
   system_.events_.push_back({state_.t, std::move(action)});
 }
 
-SimulationResult RunSession::finish() {
+driver::GmStageConfig RunSession::drive_stage(const faults::InternalFault& fault) const {
+  faults::FaultBus bus;
+  bus.inject(fault);
+  driver::OscillatorDriver probe = system_.driver_;
+  probe.attach_fault_bus(&bus);
+  return probe.effective_stage();
+}
+
+void RunSession::switch_internal_fault(const faults::InternalFault& fault) {
+  const std::vector<TickRecord>& ticks = state_.result.ticks;
+  LCOSC_REQUIRE(!ticks.empty() && ticks.back().time == state_.t,
+                "switch_internal_fault needs a pause right after a regulation tick");
+  LCOSC_REQUIRE(faults::acts_only_through_drive_stage(system_.fault_bus_.fault()) &&
+                    faults::acts_only_through_drive_stage(fault),
+                "switch_internal_fault swaps only faults that act through the drive stage");
+  system_.fault_bus_.inject(fault);
+  // The tick step already evaluated the supply current at the new code
+  // under the old fault; everything else it did is stage-independent.
+  state_.result.ticks.back().supply_current = system_.tick_supply_current();
+}
+
+SimulationResult RunSession::finish(std::uint64_t runs) {
   LCOSC_SPAN("system.run_session");
   system_.advance_run(state_, std::numeric_limits<double>::infinity());
-  return system_.finish_run(state_);
+  return system_.finish_run(state_, runs);
 }
 
 }  // namespace lcosc::system

@@ -7,6 +7,7 @@
 // States: v(LC1), v(LC2), i(Losc).
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <variant>
@@ -184,9 +185,13 @@ class OscillatorSystem {
   // loop pauses (returns) when the loop-top time reaches stop_time.
   [[nodiscard]] RunState begin_run(double duration);
   void advance_run(RunState& rs, double stop_time);
-  [[nodiscard]] SimulationResult finish_run(RunState& rs);
+  // `runs` > 1 publishes the run's metrics once per run it stands for
+  // (RunSession::finish).
+  [[nodiscard]] SimulationResult finish_run(RunState& rs, std::uint64_t runs = 1);
   // Publish the FSM and safety counters tallied since the run began.
-  void flush_loop_metrics();
+  void flush_loop_metrics(std::uint64_t runs = 1);
+  // TickRecord::supply_current at the present code and VDC1.
+  [[nodiscard]] double tick_supply_current() const;
 
   // Subsystems observe the bus through const pointers; run() re-attaches
   // them so copied systems never alias another instance's bus.
@@ -234,12 +239,39 @@ class RunSession {
     inject(InternalFaultEvent{fault});
   }
   // Run to the end and produce the result; emits the same run metrics
-  // a straight run() emits, the settle prefix's loop counters included.
+  // a straight run() emits, the settle prefix's loop counters included,
+  // `runs` times over (a shared trajectory stands for that many runs).
   // A finish that throws emits none (the caller re-runs the case).  The
   // session is spent afterwards.
-  [[nodiscard]] SimulationResult finish();
+  [[nodiscard]] SimulationResult finish(std::uint64_t runs = 1);
 
   [[nodiscard]] double time() const { return state_.t; }
+  // Simulated time of the next regulation tick: advance_until(next_tick())
+  // pauses right after that tick's step.
+  [[nodiscard]] double next_tick() const { return state_.next_tick; }
+  // True once the run has taken its last step.
+  [[nodiscard]] bool done() const { return state_.step >= state_.total_steps; }
+  // True once the NVM preset instant has passed; from then on the code
+  // moves only at regulation ticks.
+  [[nodiscard]] bool preset_applied() const { return state_.nvm_applied; }
+  [[nodiscard]] int code() const { return system_.driver_.code(); }
+
+  // The driver's effective Gm stage at the present code
+  // (OscillatorDriver::effective_stage) ...
+  [[nodiscard]] driver::GmStageConfig drive_stage() const {
+    return system_.driver_.effective_stage();
+  }
+  // ... and the one it would have with `fault` on its bus instead (a
+  // probe: the session is untouched).
+  [[nodiscard]] driver::GmStageConfig drive_stage(const faults::InternalFault& fault) const;
+  // At a pause right after a regulation tick, replace the active internal
+  // fault by `fault`; both must act only through the drive stage
+  // (faults::acts_only_through_drive_stage).  The session then continues
+  // exactly as a run with `fault` injected in place of the old one whose
+  // stages agreed until this tick: the tick's supply current, the one
+  // value of the tick step that already used the new code, is
+  // re-evaluated under `fault`.
+  void switch_internal_fault(const faults::InternalFault& fault);
 
  private:
   OscillatorSystem system_;

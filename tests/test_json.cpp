@@ -5,9 +5,9 @@
 // either be rejected cleanly (false / ConfigError) or be valid JSON that
 // re-emits and re-parses to the same value.
 #include <gtest/gtest.h>
-
 #include <unistd.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -210,6 +210,11 @@ void fuzz(const std::string& seed, std::uint64_t stream, Check&& check) {
 TEST(JsonFuzz, CampaignSpecMutantsRejectOrRoundTrip) {
   service::CampaignSpec spec;
   spec.seed = 18446744073709551615ULL;
+  // Durations whose ms text must read back exactly: an injection instant
+  // of the campaign benchmark (6 - 5/128 ms) and its 16 ms case.
+  spec.settle_time = (6.0 - 5.0 / 128.0) * 1e-3;
+  spec.observe_time = 16e-3 - spec.settle_time;
+  spec.run_duration = 10.0390625e-3;
   spec.checkpoint_dir = "/tmp/tab\there\rand\x01" "ctl caf\xc3\xa9";
   spec.report_path = "bell\b_feed\f_line\n\"quoted\"\\";
   fuzz(service::to_json(spec), 1, [](const std::string& text) {
@@ -220,14 +225,13 @@ TEST(JsonFuzz, CampaignSpecMutantsRejectOrRoundTrip) {
       return false;
     }
     EXPECT_TRUE(JsonValidator(text).valid());
-    service::CampaignSpec again = service::parse_campaign_spec(service::to_json(parsed));
-    // The three durations cross a ms <-> s conversion, which may move
-    // them by an ulp per round trip; every other field comes back exact.
+    const service::CampaignSpec again = service::parse_campaign_spec(service::to_json(parsed));
+    // Every field comes back exact, the ms durations included.
     for (const auto member : {&service::CampaignSpec::run_duration,
                               &service::CampaignSpec::settle_time,
                               &service::CampaignSpec::observe_time}) {
-      EXPECT_DOUBLE_EQ(again.*member, parsed.*member);
-      again.*member = parsed.*member;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(again.*member),
+                std::bit_cast<std::uint64_t>(parsed.*member));
     }
     EXPECT_EQ(service::to_json(again), service::to_json(parsed));
     return true;

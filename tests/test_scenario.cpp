@@ -82,6 +82,36 @@ TEST(Scenario, EventsSortedRegardlessOfScheduleOrder) {
   EXPECT_FALSE(r.final_faults.any());  // recovery really ran after the fault
 }
 
+TEST(Scenario, SameInstantEventsApplyInScheduleOrder) {
+  // Events of one instant fire in the order they were scheduled, however
+  // many there are: an introsort of 18 equal-time events used to move
+  // the recovery ahead of the open coil, leaving the run latched in the
+  // safe state at code 127.
+  auto run = [](int temperature_steps) {
+    OscillatorSystem sys(scenario_config());
+    for (int i = 0; i < temperature_steps; ++i) sys.schedule_event(2e-3, TemperatureEvent{300.0});
+    sys.schedule_event(2e-3, FaultEvent{tank::TankFault::OpenCoil, {}});
+    sys.schedule_event(2e-3, RecoveryEvent{});
+    return sys.run(5e-3);
+  };
+  const SimulationResult plain = run(0);
+  const SimulationResult crowded = run(16);
+  EXPECT_FALSE(plain.final_faults.any());
+  EXPECT_EQ(plain.final_mode, regulation::RegulationMode::Regulating);
+  EXPECT_EQ(plain.final_code, 86);
+
+  ASSERT_EQ(crowded.ticks.size(), plain.ticks.size());
+  for (std::size_t i = 0; i < plain.ticks.size(); ++i) {
+    EXPECT_EQ(crowded.ticks[i].code, plain.ticks[i].code) << "tick " << i;
+    EXPECT_EQ(crowded.ticks[i].vdc1, plain.ticks[i].vdc1) << "tick " << i;
+    EXPECT_EQ(crowded.ticks[i].faults, plain.ticks[i].faults) << "tick " << i;
+    EXPECT_EQ(crowded.ticks[i].supply_current, plain.ticks[i].supply_current) << "tick " << i;
+  }
+  EXPECT_EQ(crowded.final_faults, plain.final_faults);
+  EXPECT_EQ(crowded.final_mode, plain.final_mode);
+  EXPECT_EQ(crowded.final_code, plain.final_code);
+}
+
 TEST(Scenario, NegativeEventTimeRejected) {
   OscillatorSystem sys(scenario_config());
   EXPECT_THROW(sys.schedule_event(-1.0, RecoveryEvent{}), ConfigError);

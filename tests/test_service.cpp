@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -199,6 +200,57 @@ TEST(ServiceSpec, PathsWithControlCharactersRoundTrip) {
   EXPECT_EQ(parsed.report_path, spec.report_path);
 }
 
+std::string hex(double v) {
+  char buf[48];
+  std::snprintf(buf, sizeof buf, "%a", v);
+  return buf;
+}
+
+TEST(ServiceSpec, DurationsRoundTripExactly) {
+  // The campaign benchmark's injection instants 6 +- k/128 ms and the
+  // observe windows filling its 16 ms case: spec.json stores them in ms,
+  // and the coordinator, every shard worker and every resume must read
+  // back the same bits, however many trips a spec makes.
+  std::vector<double> durations;
+  for (int k = 0; k <= 32; ++k) {
+    const double settle = (6.0 + (k - 16) / 128.0) * 1e-3;
+    durations.push_back(settle);
+    durations.push_back(16e-3 - settle);
+  }
+  // Other magnitudes, the extreme ones written with an exponent, and zero.
+  for (const double v : {10.0390625e-3, 0.1e-3, 1e-9, 1e-300, 5e-324, 1.5e300, 0.0, -0.0}) {
+    durations.push_back(v);
+  }
+  for (const double d : durations) {
+    CampaignSpec spec;
+    spec.run_duration = d;
+    spec.settle_time = d;
+    spec.observe_time = d;
+    CampaignSpec trip = spec;
+    for (int round = 0; round < 3; ++round) {
+      const std::string json = to_json(trip);
+      trip = parse_campaign_spec(json);
+      EXPECT_EQ(hex(trip.run_duration), hex(d)) << json;
+      EXPECT_EQ(hex(trip.settle_time), hex(d)) << json;
+      EXPECT_EQ(hex(trip.observe_time), hex(d)) << json;
+    }
+  }
+  // The ms text is the shortest decimal of the seconds value, so round
+  // instants stay readable.
+  CampaignSpec spec;
+  spec.settle_time = 5.9140625e-3;
+  spec.observe_time = 16e-3 - spec.settle_time;
+  const std::string json = to_json(spec);
+  EXPECT_NE(json.find("\"settle_ms\": 5.9140625,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"run_duration_ms\": 20,"), std::string::npos) << json;
+  // Exponents in the ms token shift too; a malformed one is refused.
+  EXPECT_EQ(hex(parse_campaign_spec(R"({"settle_ms": 5.9140625e0})").settle_time),
+            hex(spec.settle_time));
+  EXPECT_EQ(hex(parse_campaign_spec(R"({"observe_ms": 1E+3})").observe_time), hex(1.0));
+  EXPECT_THROW((void)parse_campaign_spec(R"({"settle_ms": "6e"})"), ConfigError);
+  EXPECT_THROW((void)parse_campaign_spec(R"({"settle_ms": 1e400})"), ConfigError);
+}
+
 TEST(ServiceSpec, DeterminismSignatureIgnoresSupervisionKnobs) {
   CampaignSpec a;
   CampaignSpec b = a;
@@ -340,6 +392,22 @@ TEST_F(ServiceTest, ResumeUnderADifferentSpecIsRefused) {
   const ServiceResult resumed = run_campaign_service(resharded);
   EXPECT_EQ(resumed.cases_resumed, 6u);
   EXPECT_EQ(resumed.report, reference_report(spec));
+}
+
+TEST_F(ServiceTest, RerunOnItsOwnFinishedCheckpointsIsAccepted) {
+  // 10.0390625 ms as the campaign benchmark computes it (the observe
+  // window after an injection at 6 - 5/128 ms): its ms text used to read
+  // back one ulp off, so the rerun's determinism signature no longer
+  // matched the spec.json the first run wrote.
+  CampaignSpec spec = small_tolerance_spec();
+  spec.samples = 2;
+  spec.run_duration = 16e-3 - (6.0 - 5.0 / 128.0) * 1e-3;
+  spec.checkpoint_dir = subdir("rerun");
+  const ServiceResult first = run_campaign_service(spec);
+  ASSERT_FALSE(first.degraded());
+  const ServiceResult again = run_campaign_service(spec);
+  EXPECT_EQ(again.cases_resumed, 2u);
+  EXPECT_EQ(again.report, first.report);
 }
 
 TEST_F(ServiceTest, TruncatedCheckpointsResumeToTheReferenceReport) {
@@ -507,6 +575,48 @@ TEST_F(ServiceTest, FleetTelemetryArtifactsMergeDeterministicallyAcrossShardCoun
       EXPECT_NE(first.find("\"fsm.ticks\""), std::string::npos) << first;
     }
   }
+}
+
+TEST_F(ServiceTest, SharedCasesNameTheCaseTheyFollowedInTheFleetEventLog) {
+  // Internal faults whose drive stages agree share one continuation in a
+  // shard's span (DESIGN.md §18).  The event log tells them apart: the
+  // campaign.case event of a case that followed another one's trajectory
+  // names that case and the simulated time it left.
+  EnvGuard events_env("LCOSC_EVENTS");
+  CampaignSpec spec = small_tolerance_spec();
+  spec.kind = CampaignKind::InternalFmea;
+  spec.settle_time = 1e-3;
+  spec.observe_time = 1e-3;
+  spec.checkpoint_dir = subdir("shared_events");
+  ::setenv("LCOSC_EVENTS", (spec.checkpoint_dir + "/events_seed.jsonl").c_str(), 1);
+  const ServiceResult result = run_campaign_service(spec);
+  ASSERT_FALSE(result.degraded());
+
+  std::map<std::string, std::map<std::string, std::string>> cases;  // ctx -> fields
+  std::ifstream in(telemetry_dir(spec.checkpoint_dir) + "/events.jsonl");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.find("\"type\": \"campaign.case\"") == std::string::npos) continue;
+    std::map<std::string, std::string> fields;
+    parse_flat_object(line, "event", [&](const std::string& key, const std::string& value,
+                                         bool) { fields[key] = value; });
+    cases[fields["ctx"]] = fields;
+  }
+  ASSERT_EQ(cases.size(), 42u);
+  std::size_t shared = 0;
+  for (const auto& [ctx, fields] : cases) {
+    EXPECT_EQ(ctx, "internal_fmea:" + fields.at("fault"));
+    const auto with = fields.find("shared_with");
+    if (with == fields.end()) continue;
+    ++shared;
+    // The followed case ran its own trajectory and is in the log.
+    ASSERT_TRUE(cases.count(with->second)) << ctx;
+    EXPECT_EQ(cases.at(with->second).count("shared_with"), 0u) << ctx;
+    const double until = std::stod(fields.at("shared_until_ms"));
+    EXPECT_GT(until, 1.0) << ctx;
+    EXPECT_LT(until, 2.01) << ctx;
+  }
+  EXPECT_GT(shared, 0u);
 }
 
 TEST_F(ServiceTest, ForensicsRecordsCrashedAndCleanWorkerExits) {
