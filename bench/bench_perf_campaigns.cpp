@@ -34,7 +34,6 @@
 #include "obs/metrics.h"
 #include "obs/span_tracer.h"
 #include "service/adapters.h"
-#include "service/queue.h"
 #include "service/supervisor.h"
 #include "service/telemetry_merge.h"
 #include "spice/ac_solver.h"
@@ -668,75 +667,6 @@ StreamingTiming bench_streaming_sweep() {
   return t;
 }
 
-// Multi-job queue throughput (DESIGN.md §14): N campaigns run back-to-
-// back directly vs submitted to the job queue and drained by one
-// coordinator with a shared worker fleet.  `identical` demands byte
-// equality of every queued report against its direct run -- fleet
-// sharing must not leak into results.  The queued side overlaps the
-// campaigns, so it gains roughly the parallelism the fleet cap allows,
-// minus the queue's claim/fsync bookkeeping.
-struct QueueTiming {
-  std::string name;
-  std::size_t jobs = 0;
-  double direct_ms = 0.0;
-  double queued_ms = 0.0;
-  bool identical = false;
-
-  [[nodiscard]] double speedup() const {
-    return queued_ms > 0.0 ? direct_ms / queued_ms : 0.0;
-  }
-};
-
-QueueTiming bench_queue_throughput() {
-  namespace fs = std::filesystem;
-  const std::vector<std::uint64_t> seeds = {1, 2};
-  auto spec_for = [](std::uint64_t seed) {
-    service::CampaignSpec spec;
-    spec.kind = service::CampaignKind::Tolerance;
-    spec.samples = 24;
-    spec.seed = seed;
-    return spec;
-  };
-
-  QueueTiming t;
-  t.name = "tolerance_queue";
-  t.jobs = seeds.size();
-  const int fleet = std::thread::hardware_concurrency() > 1 ? 2 : 1;
-
-  fs::remove_all("artifacts/bench_queue_direct");
-  std::vector<std::string> direct_reports;
-  t.direct_ms = time_ms([&] {
-    for (const std::uint64_t seed : seeds) {
-      service::CampaignSpec spec = spec_for(seed);
-      spec.checkpoint_dir = "artifacts/bench_queue_direct/" + std::to_string(seed);
-      direct_reports.push_back(run_campaign_service(spec).report);
-    }
-  });
-
-  fs::remove_all("artifacts/bench_queue");
-  service::JobQueue queue("artifacts/bench_queue");
-  t.queued_ms = time_ms([&] {
-    for (const std::uint64_t seed : seeds) {
-      (void)queue.submit(spec_for(seed), 0, "s" + std::to_string(seed));
-    }
-    service::QueueCoordinatorOptions options;
-    options.max_parallel_jobs = fleet;
-    options.shard_slots = fleet;
-    options.poll_ms = 5;
-    (void)run_queue_coordinator(queue, options);
-  });
-
-  const std::vector<service::JobRecord> jobs = queue.list();
-  t.identical = jobs.size() == seeds.size();
-  for (std::size_t i = 0; i < jobs.size() && t.identical; ++i) {
-    const std::optional<std::string> report = queue.report(jobs[i]);
-    t.identical = report.has_value() && *report == direct_reports[i];
-  }
-  fs::remove_all("artifacts/bench_queue_direct");
-  fs::remove_all("artifacts/bench_queue");
-  return t;
-}
-
 // Telemetry tax on the sharded service (DESIGN.md §15): the same
 // campaign with the fleet observability pipeline off vs on.  The LCOSC_*
 // toggles travel through the environment across the coordinator's
@@ -819,7 +749,6 @@ void write_json(const std::string& path, const std::vector<CampaignTiming>& timi
                 const std::vector<ServiceTiming>& services,
                 const std::vector<BatchedServiceTiming>& batched_services,
                 const std::vector<StreamingTiming>& streams,
-                const std::vector<QueueTiming>& queues,
                 const std::vector<FleetObsTiming>& fleet_obs) {
   std::ostringstream out;
   out << "{\n"
@@ -938,18 +867,6 @@ void write_json(const std::string& path, const std::vector<CampaignTiming>& timi
         << "      \"rss_bounded\": " << (t.rss_bounded ? "true" : "false") << "\n"
         << "    }" << (i + 1 < streams.size() ? "," : "") << "\n";
   }
-  out << "  ],\n  \"queue\": [\n";
-  for (std::size_t i = 0; i < queues.size(); ++i) {
-    const QueueTiming& t = queues[i];
-    out << "    {\n"
-        << "      \"name\": \"" << t.name << "\",\n"
-        << "      \"jobs\": " << t.jobs << ",\n"
-        << "      \"direct_ms\": " << t.direct_ms << ",\n"
-        << "      \"queued_ms\": " << t.queued_ms << ",\n"
-        << "      \"speedup\": " << t.speedup() << ",\n"
-        << "      \"identical_reports\": " << (t.identical ? "true" : "false") << "\n"
-        << "    }" << (i + 1 < queues.size() ? "," : "") << "\n";
-  }
   out << "  ],\n  \"fleet_obs\": [\n";
   for (std::size_t i = 0; i < fleet_obs.size(); ++i) {
     const FleetObsTiming& t = fleet_obs[i];
@@ -1004,10 +921,6 @@ void write_json(const std::string& path, const std::vector<CampaignTiming>& timi
   for (const StreamingTiming& t : streams) {
     phase(t.name + ".windowed", t.streaming_ms);
     phase(t.name + ".one_shot", t.one_shot_ms);
-  }
-  for (const QueueTiming& t : queues) {
-    phase(t.name + ".direct", t.direct_ms);
-    phase(t.name + ".queued", t.queued_ms);
   }
   // The drift gate holds these two phases together: telemetry-on wall
   // time regressing against its own baseline is the overhead signal.
@@ -1117,17 +1030,6 @@ int main(int argc, char** argv) {
   }
   wtable.print(std::cout);
 
-  std::cout << "\n=== Job queue: direct back-to-back vs shared-fleet drain ===\n\n";
-  const std::vector<QueueTiming> queues = {bench_queue_throughput()};
-  TablePrinter qtable({"workload", "jobs", "direct [ms]", "queued [ms]", "speedup",
-                       "identical"});
-  for (const QueueTiming& t : queues) {
-    qtable.add_values(t.name, t.jobs, format_significant(t.direct_ms, 4),
-                      format_significant(t.queued_ms, 4), format_significant(t.speedup(), 3),
-                      t.identical);
-  }
-  qtable.print(std::cout);
-
   std::cout << "\n=== Fleet observability: telemetry off vs on ===\n\n";
   const std::vector<FleetObsTiming> fleet_obs = {bench_fleet_obs()};
   TablePrinter otable({"workload", "items", "shards", "telemetry off [ms]",
@@ -1159,7 +1061,7 @@ int main(int argc, char** argv) {
   }
 
   write_json("BENCH_campaigns.json", timings, transients, adaptives, batched, services,
-             batched_services, streams, queues, fleet_obs);
+             batched_services, streams, fleet_obs);
   if (obs::trace_enabled()) {
     obs::write_chrome_trace("artifacts/trace_campaigns.json");
     std::cout << "\n(trace: artifacts/trace_campaigns.json, "
@@ -1189,9 +1091,6 @@ int main(int argc, char** argv) {
             << "    rolling-window sweep matches the one-shot batch checksum for\n"
             << "    checksum while its peak RSS stays at the O(chunk_lanes) floor\n"
             << "    instead of the one-shot side's O(total);\n"
-            << "  - identical=true on the queue row: draining prioritized jobs\n"
-            << "    through the shared-fleet coordinator reproduces each job's\n"
-            << "    back-to-back direct report byte for byte;\n"
             << "  - identical=true and artifacts=true on the fleet_obs row: turning\n"
             << "    the telemetry pipeline on changes no report byte, produces the\n"
             << "    merged metrics/trace/summary artifacts, and its overhead stays\n"

@@ -177,8 +177,17 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
       return batch->completed.load(std::memory_order_acquire) == batch->n;
     });
   }
-  for (const std::exception_ptr& e : batch->errors) {
-    if (e) std::rethrow_exception(e);
+  // Take the lowest failing index's exception out of the batch and drop
+  // every other one here, on the caller's thread: a pool helper may
+  // still hold the last reference to the batch, and an exception left in
+  // `errors` would then be freed on that helper while the caller reads
+  // its rethrown copy.
+  const auto failed = std::find_if(batch->errors.begin(), batch->errors.end(),
+                                   [](const std::exception_ptr& e) { return e != nullptr; });
+  if (failed != batch->errors.end()) {
+    const std::exception_ptr first = std::move(*failed);
+    batch->errors.clear();
+    std::rethrow_exception(first);
   }
 }
 

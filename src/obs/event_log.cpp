@@ -1,13 +1,13 @@
 #include "obs/event_log.h"
 
 #include <atomic>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
-#include <sstream>
 
 #include "obs/json.h"
 
@@ -124,9 +124,9 @@ Event& Event::num(std::string_view key, double value) {
   json::append_escaped(line_, key);
   line_ += "\": ";
   if (std::isfinite(value)) {
-    std::ostringstream v;
-    v << value;
-    line_ += v.str();
+    // Shortest text that reads back as the same double.
+    char buf[32];
+    line_.append(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
   } else {
     line_ += "null";
   }

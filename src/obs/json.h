@@ -1,6 +1,6 @@
 // The repository's one JSON grammar: the string escaper every writer uses
-// and the reader every parser uses (campaign specs, queue records,
-// metrics snapshots, trace JSONL, forensics rows).  It lives in obs/, the
+// and the reader every parser uses (campaign specs, metrics snapshots,
+// trace JSONL, forensics rows).  It lives in obs/, the
 // lowest layer, so the telemetry snapshot reader and the service layer
 // share it.
 //

@@ -1,9 +1,8 @@
 #include "service/flat_json.h"
 
-#include <cerrno>
+#include <charconv>
 #include <climits>
 #include <cmath>
-#include <cstdlib>
 
 #include "common/error.h"
 
@@ -33,17 +32,19 @@ void throw_flat_json_error(std::string_view context, const obs::json::Reader& in
                     std::to_string(in.offset()) + ")");
 }
 
-double json_to_number(const std::string& key, const std::string& raw) {
-  char* end = nullptr;
-  const double v = std::strtod(raw.c_str(), &end);
-  if (end == nullptr || *end != '\0' || !std::isfinite(v)) {
+double json_to_number(const std::string& key, const std::string& raw, bool is_string) {
+  const char* const last = raw.data() + raw.size();
+  double v = 0.0;
+  const std::from_chars_result r = std::from_chars(raw.data(), last, v);
+  // Overflow and underflow both report result_out_of_range.
+  if (is_string || r.ec != std::errc() || r.ptr != last) {
     throw ConfigError("key '" + key + "' is not a finite number");
   }
   return v;
 }
 
-int json_to_int(const std::string& key, const std::string& raw) {
-  const double v = json_to_number(key, raw);
+int json_to_int(const std::string& key, const std::string& raw, bool is_string) {
+  const double v = json_to_number(key, raw, is_string);
   // Range first: converting an out-of-range double to int is undefined.
   if (v != std::floor(v) || v < INT_MIN || v > INT_MAX) {
     throw ConfigError("key '" + key + "' must be an integer");
@@ -54,12 +55,11 @@ int json_to_int(const std::string& key, const std::string& raw) {
 // Exact 64-bit parse: routing a seed through double would silently round
 // values above 2^53 (and cast UB above 2^63), giving re-parsing workers a
 // different seed than the coordinator.
-std::uint64_t json_to_u64(const std::string& key, const std::string& raw) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(raw.c_str(), &end, 10);
-  if (raw.empty() || raw[0] == '-' || end == raw.c_str() || *end != '\0' ||
-      errno == ERANGE) {
+std::uint64_t json_to_u64(const std::string& key, const std::string& raw, bool is_string) {
+  const char* const last = raw.data() + raw.size();
+  std::uint64_t v = 0;
+  const std::from_chars_result r = std::from_chars(raw.data(), last, v);
+  if (is_string || r.ec != std::errc() || r.ptr != last) {
     throw ConfigError("key '" + key + "' must be a non-negative integer (64-bit)");
   }
   return v;
@@ -70,6 +70,12 @@ bool json_to_bool(const std::string& key, const std::string& raw, bool is_string
     throw ConfigError("key '" + key + "' must be true or false");
   }
   return raw == "true";
+}
+
+const std::string& json_to_string(const std::string& key, const std::string& raw,
+                                  bool is_string) {
+  if (!is_string) throw ConfigError("key '" + key + "' must be a string");
+  return raw;
 }
 
 }  // namespace lcosc::service

@@ -1,8 +1,8 @@
 // Flat JSON objects the service persists and reads back (campaign specs,
-// queue job records, progress snapshots, forensics rows): string, number
-// and boolean members, no nesting.  The grammar itself is obs::json's;
-// this wrapper adds the service's error model (lcosc::ConfigError) and
-// the strict scalar conversions shared by the spec and queue parsers.
+// forensics rows): string, number and boolean members, no nesting.  The
+// grammar itself is obs::json's; this wrapper adds the service's error
+// model (lcosc::ConfigError) and the strict typed conversions of the
+// spec parser.
 #pragma once
 
 #include <cstdint>
@@ -35,12 +35,20 @@ void parse_flat_object(std::string_view text, std::string_view context, Visit&& 
   if (!ok) throw_flat_json_error(context, in);
 }
 
-// Strict scalar conversions shared by the spec and queue parsers; each
-// throws lcosc::ConfigError naming `key` on mismatch.
-[[nodiscard]] double json_to_number(const std::string& key, const std::string& raw);
-[[nodiscard]] int json_to_int(const std::string& key, const std::string& raw);
-[[nodiscard]] std::uint64_t json_to_u64(const std::string& key, const std::string& raw);
+// Strict typed conversions of one member (raw value and is_string as
+// parse_flat_object passes them); each throws lcosc::ConfigError naming
+// `key` when the member has the wrong JSON type or an out-of-range value.
+// Number keys refuse string members, so blanks, hex or "inf" inside a
+// string never become a number; the reader has already checked every
+// number token against RFC 8259.
+[[nodiscard]] double json_to_number(const std::string& key, const std::string& raw,
+                                    bool is_string);
+[[nodiscard]] int json_to_int(const std::string& key, const std::string& raw, bool is_string);
+[[nodiscard]] std::uint64_t json_to_u64(const std::string& key, const std::string& raw,
+                                        bool is_string);
 [[nodiscard]] bool json_to_bool(const std::string& key, const std::string& raw,
                                 bool is_string);
+[[nodiscard]] const std::string& json_to_string(const std::string& key, const std::string& raw,
+                                                bool is_string);
 
 }  // namespace lcosc::service

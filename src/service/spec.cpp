@@ -57,10 +57,11 @@ std::string ms_text(double seconds) {
   return out;
 }
 
-double ms_to_seconds(const std::string& key, const std::string& raw) {
+double ms_to_seconds(const std::string& key, const std::string& raw, bool is_string) {
   const auto reject = [&key]() -> double {
     throw ConfigError("key '" + key + "' is not a finite number");
   };
+  if (is_string) return reject();
   const char* const last = raw.data() + raw.size();
   const std::size_t e = raw.find_first_of("eE");
   long long exp10 = 0;
@@ -107,20 +108,22 @@ CampaignSpec parse_campaign_spec(const std::string& json_text) {
   CampaignSpec spec;
   parse_flat_object(json_text, "campaign spec", [&](const std::string& key,
                                                     const std::string& raw, bool is_string) {
-    auto num = [&] { return json_to_number(key, raw); };
-    auto integer = [&] { return json_to_int(key, raw); };
+    auto num = [&] { return json_to_number(key, raw, is_string); };
+    auto integer = [&] { return json_to_int(key, raw, is_string); };
+    auto ms = [&] { return ms_to_seconds(key, raw, is_string); };
+    auto text = [&] { return json_to_string(key, raw, is_string); };
     if (key == "campaign") {
-      spec.kind = parse_campaign_kind(raw);
+      spec.kind = parse_campaign_kind(text());
     } else if (key == "seed") {
-      spec.seed = json_to_u64(key, raw);
+      spec.seed = json_to_u64(key, raw, is_string);
     } else if (key == "samples") {
       spec.samples = integer();
     } else if (key == "run_duration_ms") {
-      spec.run_duration = ms_to_seconds(key, raw);
+      spec.run_duration = ms();
     } else if (key == "settle_ms") {
-      spec.settle_time = ms_to_seconds(key, raw);
+      spec.settle_time = ms();
     } else if (key == "observe_ms") {
-      spec.observe_time = ms_to_seconds(key, raw);
+      spec.observe_time = ms();
     } else if (key == "max_retries") {
       spec.max_retries = integer();
     } else if (key == "chunk_lanes") {
@@ -146,9 +149,9 @@ CampaignSpec parse_campaign_spec(const std::string& json_text) {
     } else if (key == "case_backoff_max_ms") {
       spec.case_backoff.max_ms = integer();
     } else if (key == "checkpoint_dir") {
-      spec.checkpoint_dir = raw;
+      spec.checkpoint_dir = text();
     } else if (key == "report_path") {
-      spec.report_path = raw;
+      spec.report_path = text();
     } else if (key == "test_kill_after_cases") {
       spec.test_kill_after_cases = integer();
     } else if (key == "test_stall_once") {

@@ -17,10 +17,15 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/atomic_file.h"
 #include "common/campaign.h"
@@ -45,8 +50,16 @@ std::string shard_checkpoint_path(const CampaignSpec& spec, int shard_index,
          std::to_string(shard_count) + ".ckpt";
 }
 
-std::string spec_file_path(const CampaignSpec& spec) {
-  return spec.checkpoint_dir + "/spec.json";
+std::string spec_file_path(const std::string& checkpoint_dir) {
+  return checkpoint_dir + "/spec.json";
+}
+
+std::optional<std::string> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
 }
 
 // All committed records in the checkpoint directory.  Scanning every
@@ -237,11 +250,9 @@ std::optional<int> maybe_run_shard(int argc, char** argv) {
     if (bad_value || shard_index < 0 || shard_count < 1 || spec_path.empty()) {
       throw ConfigError("shard mode needs --lcosc-shard N --lcosc-shard-count M --lcosc-spec F");
     }
-    std::ifstream in(spec_path);
-    if (!in) throw ConfigError("cannot read spec file " + spec_path);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    const CampaignSpec spec = parse_campaign_spec(buffer.str());
+    const std::optional<std::string> text = read_file(spec_path);
+    if (!text) throw ConfigError("cannot read spec file " + spec_path);
+    const CampaignSpec spec = parse_campaign_spec(*text);
 
     // Per-shard telemetry (DESIGN.md §15): tag event lines with this
     // shard, re-route the event log into the job's telemetry directory
@@ -319,11 +330,77 @@ SpawnedWorker spawn_worker(const std::string& exe, int shard_index, int shard_co
   return out;
 }
 
+// One campaign's supervision state machine.  Construction validates the
+// checkpoint directory (spec signature match), persists the effective
+// spec, and seeds the resume set; step() then advances supervision one
+// poll at a time until every shard is terminal, and finish() merges the
+// checkpoint streams into the final report.  The destructor SIGKILLs and
+// reaps any still-live workers, so a supervisor abandoned mid-run (error
+// unwind, coordinator shutdown) never leaks subprocesses.
+class CampaignSupervisor {
+ public:
+  CampaignSupervisor(const CampaignSpec& spec, const ServiceOptions& options);
+  ~CampaignSupervisor();
+
+  CampaignSupervisor(const CampaignSupervisor&) = delete;
+  CampaignSupervisor& operator=(const CampaignSupervisor&) = delete;
+
+  // One supervision poll: reap exited workers, SIGKILL the timed-out,
+  // spawn pending/backed-off shards.  Returns true once every shard is
+  // terminal (Done or Failed).
+  bool step();
+
+  // SIGKILL and reap every live worker.  The shards stay resumable: a
+  // later run inherits their checkpoints.
+  void kill_all();
+
+  // Merge all checkpointed records in case-index order, synthesize
+  // SimulationError rows for cases no shard delivered, render the report
+  // and (when spec.report_path is set) write it atomically.  Call after
+  // step() returns true.
+  [[nodiscard]] ServiceResult finish();
+
+ private:
+  enum class ShardPhase { Pending, Running, Backoff, Done, Failed };
+
+  struct ShardRuntime {
+    ShardStatus status;
+    ShardPhase phase = ShardPhase::Pending;
+    pid_t pid = -1;
+    Clock::time_point spawned_at{};
+    Clock::time_point next_spawn{};
+    std::size_t checkpoint_records_before = 0;
+    // Worker stderr capture: nonblocking read end of the worker's stderr
+    // pipe, drained each poll into a bounded tail for forensics.
+    int stderr_fd = -1;
+    std::string stderr_tail;
+  };
+
+  void step_spawn(ShardRuntime& shard, Clock::time_point now);
+  void step_running(ShardRuntime& shard, Clock::time_point now);
+  void drain_stderr(ShardRuntime& shard);
+  void close_stderr(ShardRuntime& shard);
+  // One forensics.jsonl row per worker exit (exit/crash/timeout/shutdown/
+  // spawn_error): decoded status, rusage, last checkpoint index, stderr
+  // tail.  Always on -- forensics never touches the report bytes.
+  void record_forensics(const ShardRuntime& shard, const char* event, int exit_code,
+                        int signal, double wall_s, const struct ::rusage* usage) const;
+  void note(const char* fmt, int shard, long long a = 0, long long b = 0) const;
+
+  CampaignSpec spec_;
+  ServiceOptions options_;
+  std::unique_ptr<ShardableCampaign> campaign_;
+  std::size_t total_ = 0;
+  std::string exe_;
+  std::string spec_path_;
+  std::size_t cases_resumed_ = 0;
+  std::vector<ShardRuntime> shards_;
+};
+
 }  // namespace
 
-CampaignSupervisor::CampaignSupervisor(const CampaignSpec& spec, const ServiceOptions& options,
-                                       ShardSlotPool* slots)
-    : spec_(spec), options_(options), slots_(slots != nullptr ? slots : &unbounded_) {
+CampaignSupervisor::CampaignSupervisor(const CampaignSpec& spec, const ServiceOptions& options)
+    : spec_(spec), options_(options) {
   LCOSC_REQUIRE(!spec_.checkpoint_dir.empty(), "spec.checkpoint_dir is required");
   std::error_code ec;
   fs::create_directories(spec_.checkpoint_dir, ec);
@@ -338,13 +415,11 @@ CampaignSupervisor::CampaignSupervisor(const CampaignSpec& spec, const ServiceOp
   // under a different seed/samples/durations would silently merge stale
   // records into the new report.  (Sharding/supervision knobs may
   // change freely -- records carry absolute case indices.)
-  spec_path_ = spec_file_path(spec_);
-  if (std::ifstream existing{spec_path_}) {
-    std::stringstream buffer;
-    buffer << existing.rdbuf();
+  spec_path_ = spec_file_path(spec_.checkpoint_dir);
+  if (const std::optional<std::string> existing = read_file(spec_path_)) {
     std::string prior_signature;
     try {
-      prior_signature = determinism_signature(parse_campaign_spec(buffer.str()));
+      prior_signature = determinism_signature(parse_campaign_spec(*existing));
     } catch (const std::exception& e) {
       throw ConfigError("checkpoint_dir holds an unreadable spec (" + spec_path_ +
                         "): " + e.what() +
@@ -407,19 +482,9 @@ void CampaignSupervisor::note(const char* fmt, int shard, long long a, long long
   std::fputc('\n', stderr);
 }
 
-void CampaignSupervisor::release_slot(ShardRuntime& shard) {
-  if (shard.holds_slot) {
-    slots_->release();
-    shard.holds_slot = false;
-  }
-}
-
 void CampaignSupervisor::step_spawn(ShardRuntime& shard, Clock::time_point now) {
   const int i = shard.status.index;
   if (now < shard.next_spawn) return;
-  // The shared fleet is full: stay Pending/Backoff and retry next poll.
-  if (!slots_->try_acquire()) return;
-  shard.holds_slot = true;
   const SpawnedWorker worker =
       spawn_worker(exe_, i, spec_.shards, spec_path_, shard.status.spawns + 1);
   if (worker.pid < 0) {
@@ -428,7 +493,6 @@ void CampaignSupervisor::step_spawn(ShardRuntime& shard, Clock::time_point now) 
     // kill(-1) would SIGKILL everything we can signal.  Retry on the
     // restart budget like a crash.
     shard.pid = -1;
-    release_slot(shard);
     count_metric("service.shard.spawn_errors");
     emit_shard_event("spawn_error", i, -1, worker.fork_errno);
     record_forensics(shard, "spawn_error", worker.fork_errno, 0, 0.0, nullptr);
@@ -465,7 +529,6 @@ void CampaignSupervisor::step_running(ShardRuntime& shard, Clock::time_point now
     // Defensive: cannot happen after the spawn guard above, but
     // waitpid/kill on pid <= 0 address process groups, not a child --
     // never risk it.  Fall back to a respawn.
-    release_slot(shard);
     shard.phase = ShardPhase::Backoff;
     shard.next_spawn = now;
     return;
@@ -494,7 +557,6 @@ void CampaignSupervisor::step_running(ShardRuntime& shard, Clock::time_point now
   if (!exited) return;
 
   live_gauge_add(-1.0);
-  release_slot(shard);
   drain_stderr(shard);
   close_stderr(shard);
   shard.status.active_seconds += up_ms * 1e-3;
@@ -562,13 +624,6 @@ bool CampaignSupervisor::step() {
   return all_terminal;
 }
 
-bool CampaignSupervisor::finished() const {
-  for (const ShardRuntime& shard : shards_) {
-    if (shard.phase != ShardPhase::Done && shard.phase != ShardPhase::Failed) return false;
-  }
-  return true;
-}
-
 void CampaignSupervisor::kill_all() {
   for (ShardRuntime& shard : shards_) {
     if (shard.phase != ShardPhase::Running || shard.pid <= 0) continue;
@@ -578,7 +633,6 @@ void CampaignSupervisor::kill_all() {
     struct ::rusage usage {};
     ::wait4(shard.pid, &wait_status, 0, &usage);
     live_gauge_add(-1.0);
-    release_slot(shard);
     drain_stderr(shard);
     close_stderr(shard);
     emit_shard_event("shutdown", shard.status.index, shard.pid);
@@ -647,13 +701,6 @@ void CampaignSupervisor::record_forensics(const ShardRuntime& shard, const char*
   }
   row.stderr_tail = shard.stderr_tail;
   append_forensics_row(forensics_path(spec_.checkpoint_dir), row);
-}
-
-std::vector<ShardStatus> CampaignSupervisor::shard_statuses() const {
-  std::vector<ShardStatus> out;
-  out.reserve(shards_.size());
-  for (const ShardRuntime& shard : shards_) out.push_back(shard.status);
-  return out;
 }
 
 ServiceResult CampaignSupervisor::finish() {
@@ -727,49 +774,46 @@ std::atomic<int> g_pending_signal{0};
 
 void record_signal(int sig) { g_pending_signal.store(sig, std::memory_order_relaxed); }
 
-struct SavedAction {
-  int sig;
-  struct sigaction action;
-};
-
-// Nested captures (queue coordinator around run_campaign_service) share
-// the flag; only the outermost scope saves/restores dispositions.
-int g_capture_depth = 0;
-SavedAction g_saved[2];
-
-}  // namespace
-
-ScopedSignalCapture::ScopedSignalCapture() {
-  if (g_capture_depth++ == 0) {
+// Scoped SIGINT/SIGTERM capture for the coordinator loop.  The handler
+// records the signal; the loop polls pending() and shuts its workers
+// down before dying.  Without this, killing a coordinator orphans its
+// fork/exec'd shard workers (they keep running and writing checkpoints
+// with nobody left to reap or merge them).  The destructor restores the
+// previous handlers.
+class ScopedSignalCapture {
+ public:
+  ScopedSignalCapture() {
     g_pending_signal.store(0, std::memory_order_relaxed);
     struct sigaction action {};
     action.sa_handler = record_signal;
     sigemptyset(&action.sa_mask);
-    const int signals[] = {SIGINT, SIGTERM};
-    for (int k = 0; k < 2; ++k) {
-      g_saved[k].sig = signals[k];
-      ::sigaction(signals[k], &action, &g_saved[k].action);
-    }
+    for (std::size_t k = 0; k < 2; ++k) ::sigaction(kSignals[k], &action, &saved_[k]);
   }
-}
-
-ScopedSignalCapture::~ScopedSignalCapture() {
-  if (--g_capture_depth == 0) {
-    for (const SavedAction& saved : g_saved) {
-      ::sigaction(saved.sig, &saved.action, nullptr);
-    }
+  ~ScopedSignalCapture() {
+    for (std::size_t k = 0; k < 2; ++k) ::sigaction(kSignals[k], &saved_[k], nullptr);
   }
-}
 
-int ScopedSignalCapture::pending() const {
-  return g_pending_signal.load(std::memory_order_relaxed);
-}
+  ScopedSignalCapture(const ScopedSignalCapture&) = delete;
+  ScopedSignalCapture& operator=(const ScopedSignalCapture&) = delete;
 
-void ScopedSignalCapture::exit_via(int sig) {
-  ::signal(sig, SIG_DFL);
-  ::raise(sig);
-  std::_Exit(128 + sig);  // unreachable unless the signal is blocked
-}
+  // Signal number received since construction, or 0.
+  [[nodiscard]] int pending() const { return g_pending_signal.load(std::memory_order_relaxed); }
+
+  // Restore the default disposition and re-raise `sig`, so the process
+  // exits with the conventional signal status.  Call after worker
+  // cleanup; does not return.
+  [[noreturn]] static void exit_via(int sig) {
+    ::signal(sig, SIG_DFL);
+    ::raise(sig);
+    std::_Exit(128 + sig);  // unreachable unless the signal is blocked
+  }
+
+ private:
+  static constexpr int kSignals[2] = {SIGINT, SIGTERM};
+  struct sigaction saved_[2] {};
+};
+
+}  // namespace
 
 ServiceResult run_campaign_service(const CampaignSpec& spec, const ServiceOptions& options) {
   CampaignSupervisor supervisor(spec, options);
@@ -786,6 +830,31 @@ ServiceResult run_campaign_service(const CampaignSpec& spec, const ServiceOption
     std::this_thread::sleep_for(std::chrono::milliseconds(options.poll_ms));
   }
   return supervisor.finish();
+}
+
+CheckpointProgress checkpoint_progress(const std::string& checkpoint_dir) {
+  const std::optional<std::string> text = read_file(spec_file_path(checkpoint_dir));
+  if (!text) {
+    throw ConfigError("no spec.json in " + checkpoint_dir +
+                      " (not a campaign checkpoint directory)");
+  }
+  const CampaignSpec spec = parse_campaign_spec(*text);
+  CheckpointProgress progress;
+  progress.cases_total = make_campaign(spec)->case_count();
+  // Distinct committed case indices per shard range: which record would
+  // win the merge for an index does not matter to a count.
+  const std::map<std::uint32_t, std::string> merged = scan_checkpoint_dir(checkpoint_dir);
+  for (int i = 0; i < spec.shards; ++i) {
+    CheckpointProgress::Shard shard;
+    shard.index = i;
+    shard.range = shard_case_range(progress.cases_total, i, spec.shards);
+    shard.done = static_cast<std::size_t>(
+        std::distance(merged.lower_bound(static_cast<std::uint32_t>(shard.range.begin)),
+                      merged.lower_bound(static_cast<std::uint32_t>(shard.range.end))));
+    progress.cases_done += shard.done;
+    progress.shards.push_back(shard);
+  }
+  return progress;
 }
 
 }  // namespace lcosc::service

@@ -1,38 +1,22 @@
 // Crash-resilient sharded campaign coordinator.
 //
-// CampaignSupervisor splits a campaign's case range contiguously across
-// `spec.shards` worker subprocesses (fork/exec of the same binary in
-// --lcosc-shard mode), supervises them with per-shard wall timeouts and
-// a bounded exponential-backoff restart budget, and merges the per-shard
-// checkpoint streams into the final report in case-index order.  The
-// report is byte-identical for any shard count, any kill or resume
-// schedule, and any restart count (DESIGN.md §13); a shard that exhausts
-// its restart budget degrades gracefully -- its undelivered cases become
-// SimulationError rows instead of aborting the run.
-//
-// The supervisor is a stepping state machine, not a blocking loop: each
-// step() performs one supervision poll (reap exits, enforce timeouts,
-// spawn pending shards as the shared ShardSlotPool grants capacity).
-// run_campaign_service() drives one supervisor to completion; the job
-// queue (service/queue.h) steps many supervisors against one slot pool
-// so concurrent campaigns share the worker fleet.
+// run_campaign_service() splits a campaign's case range contiguously
+// across `spec.shards` worker subprocesses (fork/exec of the same binary
+// in --lcosc-shard mode), supervises them with per-shard wall timeouts
+// and a bounded exponential-backoff restart budget, and merges the
+// per-shard checkpoint streams into the final report in case-index
+// order.  The report is byte-identical for any shard count, any kill or
+// resume schedule, and any restart count (DESIGN.md §13); a shard that
+// exhausts its restart budget degrades gracefully -- its undelivered
+// cases become SimulationError rows instead of aborting the run.
 #pragma once
 
-#include <sys/resource.h>
-#include <sys/types.h>
-
-#include <chrono>
 #include <cstddef>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "service/spec.h"
-
-namespace lcosc {
-class ShardableCampaign;
-}
 
 namespace lcosc::service {
 
@@ -79,134 +63,6 @@ struct ServiceOptions {
   bool verbose = false;  // stream shard lifecycle lines to stderr
 };
 
-// Global cap on live shard subprocesses.  Supervisors acquire one slot
-// per spawned worker and release it when the worker is reaped, so
-// concurrent campaigns stepping against the same pool share a bounded
-// worker fleet.  capacity <= 0 means unlimited.
-class ShardSlotPool {
- public:
-  explicit ShardSlotPool(int capacity = 0) : capacity_(capacity) {}
-
-  [[nodiscard]] bool try_acquire() {
-    if (capacity_ > 0 && in_use_ >= capacity_) return false;
-    ++in_use_;
-    return true;
-  }
-  void release() {
-    if (in_use_ > 0) --in_use_;
-  }
-
-  [[nodiscard]] int capacity() const { return capacity_; }
-  [[nodiscard]] int in_use() const { return in_use_; }
-
- private:
-  int capacity_ = 0;
-  int in_use_ = 0;
-};
-
-// One campaign's supervision state machine.  Construction validates the
-// checkpoint directory (spec signature match), persists the effective
-// spec, and seeds the resume set; step() then advances supervision one
-// poll at a time until every shard is terminal, and finish() merges the
-// checkpoint streams into the final report.  The destructor SIGKILLs and
-// reaps any still-live workers, so a supervisor abandoned mid-run (error
-// unwind, coordinator shutdown) never leaks subprocesses.
-class CampaignSupervisor {
- public:
-  // `slots` bounds concurrent worker spawns across supervisors; nullptr
-  // runs unconstrained.  The pool must outlive the supervisor.
-  CampaignSupervisor(const CampaignSpec& spec, const ServiceOptions& options = {},
-                     ShardSlotPool* slots = nullptr);
-  ~CampaignSupervisor();
-
-  CampaignSupervisor(const CampaignSupervisor&) = delete;
-  CampaignSupervisor& operator=(const CampaignSupervisor&) = delete;
-
-  // One supervision poll: reap exited workers, SIGKILL the timed-out,
-  // spawn pending/backed-off shards as the slot pool allows.  Returns
-  // true once every shard is terminal (Done or Failed).
-  bool step();
-  [[nodiscard]] bool finished() const;
-
-  // SIGKILL and reap every live worker (releasing their slots).  The
-  // shards stay resumable: a later run inherits their checkpoints.
-  void kill_all();
-
-  // Merge all checkpointed records in case-index order, synthesize
-  // SimulationError rows for cases no shard delivered, render the report
-  // and (when spec.report_path is set) write it atomically.  Call after
-  // step() returns true (or after kill_all() for a partial result).
-  [[nodiscard]] ServiceResult finish();
-
-  [[nodiscard]] const CampaignSpec& spec() const { return spec_; }
-  [[nodiscard]] std::size_t case_count() const { return total_; }
-  // Live per-shard status (ranges, spawns, restarts, timeouts).
-  [[nodiscard]] std::vector<ShardStatus> shard_statuses() const;
-
- private:
-  enum class ShardPhase { Pending, Running, Backoff, Done, Failed };
-
-  struct ShardRuntime {
-    ShardStatus status;
-    ShardPhase phase = ShardPhase::Pending;
-    pid_t pid = -1;
-    bool holds_slot = false;
-    std::chrono::steady_clock::time_point spawned_at{};
-    std::chrono::steady_clock::time_point next_spawn{};
-    std::size_t checkpoint_records_before = 0;
-    // Worker stderr capture: nonblocking read end of the worker's stderr
-    // pipe, drained each poll into a bounded tail for forensics.
-    int stderr_fd = -1;
-    std::string stderr_tail;
-  };
-
-  void step_spawn(ShardRuntime& shard, std::chrono::steady_clock::time_point now);
-  void step_running(ShardRuntime& shard, std::chrono::steady_clock::time_point now);
-  void release_slot(ShardRuntime& shard);
-  void drain_stderr(ShardRuntime& shard);
-  void close_stderr(ShardRuntime& shard);
-  // One forensics.jsonl row per worker exit (exit/crash/timeout/shutdown/
-  // spawn_error): decoded status, rusage, last checkpoint index, stderr
-  // tail.  Always on -- forensics never touches the report bytes.
-  void record_forensics(const ShardRuntime& shard, const char* event, int exit_code,
-                        int signal, double wall_s, const struct ::rusage* usage) const;
-  void note(const char* fmt, int shard, long long a = 0, long long b = 0) const;
-
-  CampaignSpec spec_;
-  ServiceOptions options_;
-  ShardSlotPool* slots_ = nullptr;
-  ShardSlotPool unbounded_{0};
-  std::unique_ptr<ShardableCampaign> campaign_;
-  std::size_t total_ = 0;
-  std::string exe_;
-  std::string spec_path_;
-  std::size_t cases_resumed_ = 0;
-  std::vector<ShardRuntime> shards_;
-};
-
-// Scoped SIGINT/SIGTERM capture for coordinator loops.  The handler
-// records the signal; the loop polls pending() and shuts its workers
-// down before dying.  Without this, killing a coordinator orphans its
-// fork/exec'd shard workers (they keep running and writing checkpoints
-// with nobody left to reap or merge them).  The destructor restores the
-// previous handlers.
-class ScopedSignalCapture {
- public:
-  ScopedSignalCapture();
-  ~ScopedSignalCapture();
-
-  ScopedSignalCapture(const ScopedSignalCapture&) = delete;
-  ScopedSignalCapture& operator=(const ScopedSignalCapture&) = delete;
-
-  // Signal number received since construction, or 0.
-  [[nodiscard]] int pending() const;
-
-  // Restore the default disposition and re-raise `sig`, so the process
-  // exits with the conventional signal status.  Call after worker
-  // cleanup; does not return.
-  [[noreturn]] static void exit_via(int sig);
-};
-
 // Coordinator entry.  Requires spec.checkpoint_dir; re-running with the
 // same directory resumes (checkpointed cases are never recomputed).
 // Writes the report to spec.report_path (atomically) when set.  SIGINT/
@@ -227,5 +83,22 @@ class ScopedSignalCapture {
 // shard `shard_index` of `shard_count` not already present in any
 // checkpoint of spec.checkpoint_dir, appending to this shard's stream.
 void run_shard(const CampaignSpec& spec, int shard_index, int shard_count);
+
+// Durable completion of a checkpoint directory: the shard layout of its
+// spec.json and, per shard, how many of its cases any *.ckpt stream in
+// the directory has committed.  Reads only the directory, so it works
+// with or without a live coordinator.  Throws lcosc::ConfigError when
+// the directory holds no readable spec.json.
+struct CheckpointProgress {
+  std::size_t cases_total = 0;
+  std::size_t cases_done = 0;
+  struct Shard {
+    int index = 0;
+    CaseRange range{};
+    std::size_t done = 0;
+  };
+  std::vector<Shard> shards;
+};
+[[nodiscard]] CheckpointProgress checkpoint_progress(const std::string& checkpoint_dir);
 
 }  // namespace lcosc::service

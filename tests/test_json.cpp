@@ -139,10 +139,10 @@ TEST(Json, FlatObjectErrorsNameTheContextAndTheByte) {
         << e.what();
     EXPECT_NE(std::string(e.what()).find("(at byte 9)"), std::string::npos) << e.what();
   }
-  EXPECT_THROW(service::parse_flat_object(R"({"a": null})", "queue job",
+  EXPECT_THROW(service::parse_flat_object(R"({"a": null})", "forensics",
                                           [](const std::string&, const std::string&, bool) {}),
                ConfigError);
-  EXPECT_THROW(service::parse_flat_object(R"({"a": {"b": 1}})", "queue job",
+  EXPECT_THROW(service::parse_flat_object(R"({"a": {"b": 1}})", "forensics",
                                           [](const std::string&, const std::string&, bool) {}),
                ConfigError);
 }

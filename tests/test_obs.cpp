@@ -4,6 +4,9 @@
 // structured routing of log_message.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -289,12 +292,33 @@ TEST_F(ObsTest, EventsAreCapturedAsJsonLines) {
   std::vector<std::string> lines;
   set_event_capture(&lines);
   ASSERT_TRUE(events_enabled());
+  // 1.50000390625e-3 and the double after 1 need 12 and 17 significant
+  // digits: the line must carry text that reads back bit for bit.
+  const double precise = 1.50000390625e-3;
+  const double next_after_one = std::nextafter(1.0, 2.0);
   {
-    Event("unit.event").num("t", 1.5).integer("n", -3).boolean("ok", true).str("s", "x");
+    Event("unit.event")
+        .num("t", 1.5)
+        .integer("n", -3)
+        .boolean("ok", true)
+        .str("s", "x")
+        .num("precise", precise)
+        .num("next", next_after_one);
   }
   ASSERT_EQ(lines.size(), 1u);
   EXPECT_NE(lines[0].find("\"type\": \"unit.event\""), std::string::npos);
-  EXPECT_NE(lines[0].find("\"t\": 1.5"), std::string::npos);
+  EXPECT_NE(lines[0].find("\"t\": 1.5,"), std::string::npos);
+  const auto read_back = [&](const std::string& key) {
+    const std::size_t at = lines[0].find("\"" + key + "\": ");
+    if (at == std::string::npos) return std::nan("");
+    return std::strtod(lines[0].c_str() + at + key.size() + 4, nullptr);
+  };
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(read_back("precise")),
+            std::bit_cast<std::uint64_t>(precise))
+      << lines[0];
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(read_back("next")),
+            std::bit_cast<std::uint64_t>(next_after_one))
+      << lines[0];
   EXPECT_NE(lines[0].find("\"n\": -3"), std::string::npos);
   EXPECT_NE(lines[0].find("\"ok\": true"), std::string::npos);
   EXPECT_NE(lines[0].find("\"s\": \"x\""), std::string::npos);

@@ -167,6 +167,19 @@ TEST(ServiceSpec, RejectsUnknownKeysAndBadValues) {
   EXPECT_THROW((void)parse_campaign_spec(R"({"case_backoff_max_ms": -1e10})"), ConfigError);
   EXPECT_EQ(parse_campaign_spec(R"({"test_kill_after_cases": 2147483647})").test_kill_after_cases,
             2147483647);
+  // Members of the wrong JSON type are refused, not coerced: a string
+  // never becomes a number (strtod would skip the blank and read the
+  // hex), and a number never becomes a path or a campaign name.
+  EXPECT_THROW((void)parse_campaign_spec(
+                   R"({"samples": "4", "shard_timeout_ms": " 5", "max_retries": "0x2"})"),
+               ConfigError);
+  for (const char* json :
+       {R"({"samples": "4"})", R"({"shard_timeout_ms": " 5"})", R"({"max_retries": "0x2"})",
+        R"({"seed": "4"})", R"({"settle_ms": "1"})", R"({"restart_backoff_multiplier": "2"})",
+        R"({"checkpoint_dir": 5})", R"({"report_path": true})", R"({"campaign": 1})"}) {
+    EXPECT_THROW((void)parse_campaign_spec(json), ConfigError) << json;
+  }
+  EXPECT_EQ(parse_campaign_spec(R"({"checkpoint_dir": "5"})").checkpoint_dir, "5");
 }
 
 TEST(ServiceSpec, SeedRoundTripsExactlyAbove53Bits) {
@@ -320,6 +333,58 @@ TEST_F(ServiceTest, ReportIsByteIdenticalForAnyShardCount) {
     EXPECT_FALSE(result.degraded());
     EXPECT_EQ(result.cases_total, 6u);
     EXPECT_EQ(result.cases_resumed, 0u);
+  }
+}
+
+TEST_F(ServiceTest, CheckpointProgressCountsCommittedCasesPerShard) {
+  CampaignSpec spec = small_tolerance_spec();
+  spec.shards = 2;
+  spec.checkpoint_dir = subdir("progress");
+  // No spec.json, no shard layout: not a checkpoint directory.
+  EXPECT_THROW((void)checkpoint_progress(spec.checkpoint_dir), ConfigError);
+
+  // Before the run: the directory as the coordinator leaves it once it
+  // has persisted the spec and before any worker commits a case.
+  fs::create_directories(spec.checkpoint_dir);
+  {
+    std::ofstream out(spec.checkpoint_dir + "/spec.json", std::ios::binary);
+    out << to_json(spec);
+  }
+  const CheckpointProgress before = checkpoint_progress(spec.checkpoint_dir);
+  EXPECT_EQ(before.cases_total, 6u);
+  EXPECT_EQ(before.cases_done, 0u);
+  ASSERT_EQ(before.shards.size(), 2u);
+  EXPECT_EQ(before.shards[0].range, (CaseRange{0, 3}));
+  EXPECT_EQ(before.shards[1].range, (CaseRange{3, 6}));
+
+  // A partial run: every worker dies after committing one case and no
+  // restart is allowed, so each shard holds 1 of its 3 cases.
+  spec.test_kill_after_cases = 1;
+  spec.max_restarts = 0;
+  ASSERT_TRUE(run_campaign_service(spec).degraded());
+  const CheckpointProgress partial = checkpoint_progress(spec.checkpoint_dir);
+  EXPECT_EQ(partial.cases_done, 2u);
+  ASSERT_EQ(partial.shards.size(), 2u);
+  for (const CheckpointProgress::Shard& shard : partial.shards) {
+    EXPECT_EQ(shard.done, 1u) << shard.index;
+  }
+
+  // Completion, then a rerun under 3 shards: the layout follows the
+  // spec.json of the latest run, the counts the checkpoint streams.
+  spec.test_kill_after_cases = 0;
+  ASSERT_FALSE(run_campaign_service(spec).degraded());
+  const CheckpointProgress after = checkpoint_progress(spec.checkpoint_dir);
+  EXPECT_EQ(after.cases_done, 6u);
+  for (const CheckpointProgress::Shard& shard : after.shards) {
+    EXPECT_EQ(shard.done, shard.range.size()) << shard.index;
+  }
+  spec.shards = 3;
+  ASSERT_EQ(run_campaign_service(spec).cases_resumed, 6u);
+  const CheckpointProgress resharded = checkpoint_progress(spec.checkpoint_dir);
+  EXPECT_EQ(resharded.cases_done, 6u);
+  ASSERT_EQ(resharded.shards.size(), 3u);
+  for (const CheckpointProgress::Shard& shard : resharded.shards) {
+    EXPECT_EQ(shard.done, 2u) << shard.index;
   }
 }
 

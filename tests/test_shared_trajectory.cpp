@@ -263,10 +263,14 @@ TEST(SharedTrajectory, CaseEventsNameTheTrajectoryTheyFollowed) {
   EXPECT_EQ(case_events["internal_fmea:watchdog-dead"].find("shared_with"), std::string::npos);
   const std::string leaver = case_events["internal_fmea:oscf<4>-stuck-1"];
   EXPECT_NE(leaver.find("\"shared_with\": \"" + leader + "\""), std::string::npos) << leaver;
-  EXPECT_NE(leaver.find("\"shared_until_ms\": 1.5,"), std::string::npos) << leaver;
+  // The tick the member parted at, as the shortest text that reads back
+  // as the same double (a 6-digit rendering would log 1.5 and 4).
+  EXPECT_NE(leaver.find("\"shared_until_ms\": 1.5000039062368908,"), std::string::npos)
+      << leaver;
   const std::string stayer = case_events["internal_fmea:segment2-dead"];
   EXPECT_NE(stayer.find("\"shared_with\": \"" + leader + "\""), std::string::npos) << stayer;
-  EXPECT_NE(stayer.find("\"shared_until_ms\": 4,"), std::string::npos) << stayer;
+  EXPECT_NE(stayer.find("\"shared_until_ms\": 4.000003906273217,"), std::string::npos)
+      << stayer;
 
   // The shared stretch logs its code steps once, under the leader; the
   // leaver logs its own after it parted; the stayer logs none.
