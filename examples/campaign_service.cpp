@@ -102,24 +102,36 @@ T row_number(const FlatRow& row, const std::string& key, T fallback) {
   return r.ec == std::errc() && r.ptr == raw.data() + raw.size() ? value : fallback;
 }
 
-// Worker exits that were not clean, per shard index, from forensics.jsonl.
-// The log is append-only, so the counts cover every run of the directory.
+// Worker exits that were not clean, from forensics.jsonl.  The log is
+// append-only, so the counts cover every run of the directory.
 struct ShardFailures {
   long long crashes = 0;
   long long timeouts = 0;
   long long spawn_errors = 0;
 };
 
-std::map<long long, ShardFailures> count_failures(const std::string& checkpoint_dir) {
-  std::map<long long, ShardFailures> failures;
+struct FailureCounts {
+  // Per shard index, rows written under the current layout.
+  std::map<long long, ShardFailures> shards;
+  // Rows of any other shard count (an earlier run of the directory), or
+  // rows that do not name their layout: their index means a different
+  // case range, so they count apart.
+  ShardFailures earlier_layouts;
+};
+
+FailureCounts count_failures(const std::string& checkpoint_dir, std::size_t shard_count) {
+  FailureCounts counts;
   for (const FlatRow& row : read_forensics(checkpoint_dir)) {
-    ShardFailures& shard = failures[row_number<long long>(row, "shard", -1)];
+    const bool current =
+        row_number<long long>(row, "shards", -1) == static_cast<long long>(shard_count);
+    ShardFailures& shard = current ? counts.shards[row_number<long long>(row, "shard", -1)]
+                                   : counts.earlier_layouts;
     const std::string event = row_text(row, "event");
     if (event == "crash") ++shard.crashes;
     if (event == "timeout") ++shard.timeouts;
     if (event == "spawn_error") ++shard.spawn_errors;
   }
-  return failures;
+  return counts;
 }
 
 // One poll's committed-case count.  The cases/s line averages over a
@@ -135,14 +147,15 @@ constexpr double kTopRateWindowSeconds = 10.0;
 
 // Live view of one checkpoint directory: campaign progress from spec.json
 // and the checkpoint streams, per-shard failure counts from the forensics
-// log.  It reads only files the run keeps anyway, so it shows the same
+// log (rows of earlier shard layouts as one total after the shard rows).
+// It reads only files the run keeps anyway, so it shows the same
 // numbers whether a coordinator is running, was killed, or finished.
 int cmd_top(const std::string& checkpoint_dir, int interval_ms, bool once) {
   std::deque<TopSample> window;
   while (true) {
     const auto poll_at = std::chrono::steady_clock::now();
     const CheckpointProgress progress = checkpoint_progress(checkpoint_dir);
-    const std::map<long long, ShardFailures> failures = count_failures(checkpoint_dir);
+    const FailureCounts failures = count_failures(checkpoint_dir, progress.shards.size());
 
     // Throughput over the trailing sample window (burst-tolerant).
     std::string rate = "-";
@@ -172,8 +185,8 @@ int cmd_top(const std::string& checkpoint_dir, int interval_ms, bool once) {
                   "DONE/TOTAL", "CRASHES", "TIMEOUTS", "SPAWN_ERRORS");
     screen << line;
     for (const CheckpointProgress::Shard& shard : progress.shards) {
-      const auto it = failures.find(shard.index);
-      const ShardFailures counts = it == failures.end() ? ShardFailures{} : it->second;
+      const auto it = failures.shards.find(shard.index);
+      const ShardFailures counts = it == failures.shards.end() ? ShardFailures{} : it->second;
       const std::string range = "[" + std::to_string(shard.range.begin) + ", " +
                                 std::to_string(shard.range.end) + ")";
       const std::string done =
@@ -183,6 +196,10 @@ int cmd_top(const std::string& checkpoint_dir, int interval_ms, bool once) {
                     counts.spawn_errors);
       screen << line;
     }
+    const ShardFailures& earlier = failures.earlier_layouts;
+    std::snprintf(line, sizeof(line), "%-38s %8lld %9lld %12lld\n", "earlier layouts",
+                  earlier.crashes, earlier.timeouts, earlier.spawn_errors);
+    screen << line;
 
     if (!once) std::fputs("\033[H\033[2J", stdout);  // home + clear
     std::fputs(screen.str().c_str(), stdout);

@@ -214,5 +214,20 @@ fi
 top_frame=$("$svc" top --dir "$smoke_dir/obskill" --once)
 grep -q '96/96' <<<"$top_frame"
 "$svc" inspect --dir "$smoke_dir/obskill" >/dev/null
+# Rerun the finished directory under 3 shards: every case is checkpointed,
+# so no worker runs, and spec.json now names the 3-shard layout.  `top`
+# counts a shard row's failures only from forensics rows of that layout;
+# the 2-shard run's crash counts in the earlier-layout total.
+"$svc" --kind tolerance --samples 96 --shards 3 \
+  --checkpoint-dir "$smoke_dir/obskill" \
+  --report "$smoke_dir/obskill3_report.txt" --quiet >/dev/null
+cmp "$smoke_dir/obskill_report.txt" "$smoke_dir/obskill3_report.txt"
+top_frame=$("$svc" top --dir "$smoke_dir/obskill" --once)
+grep -q '96/96' <<<"$top_frame"
+if [[ "$killed" == 1 ]]; then
+  # Shard rows start with the index; CRASHES is the third field from the end.
+  awk '$1 ~ /^[0-9]+$/ && $(NF - 2) != 0 { bad = 1 } END { exit bad }' <<<"$top_frame"
+  grep -Eq '^earlier layouts +[1-9]' <<<"$top_frame"
+fi
 echo "fleet observability smoke: merged metrics byte-identical across shard counts;" \
-  "top and inspect read the finished checkpoint dir"
+  "top and inspect read the finished checkpoint dir, top by shard layout"

@@ -36,6 +36,7 @@ import sys
 FORENSICS_KEYS = {
     "ts_unix_ms",
     "shard",
+    "shards",
     "attempt",
     "pid",
     "event",

@@ -3,7 +3,9 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 namespace lcosc::driver {
 
@@ -60,5 +62,17 @@ class GmStage {
  private:
   GmStageConfig config_;
 };
+
+// Bit equality of two stage configs: a GmStage is a pure function of its
+// config, so equal configs make every output above equal, bit for bit.
+// The one comparison behind the fault sweep's shared trajectories
+// (OscillatorDriver::effective_stage) and the batched envelope engine's
+// per-lane step memo (differential_port_stage).
+inline bool same_drive_stage(const GmStageConfig& a, const GmStageConfig& b) {
+  return std::bit_cast<std::uint64_t>(a.gm) == std::bit_cast<std::uint64_t>(b.gm) &&
+         std::bit_cast<std::uint64_t>(a.current_limit) ==
+             std::bit_cast<std::uint64_t>(b.current_limit) &&
+         a.shape == b.shape;
+}
 
 }  // namespace lcosc::driver

@@ -564,7 +564,6 @@ void CampaignSupervisor::step_running(ShardRuntime& shard, Clock::time_point now
                         : WIFSIGNALED(wait_status) ? 128 + WTERMSIG(wait_status)
                                                    : -1;
   const int term_signal = WIFSIGNALED(wait_status) ? WTERMSIG(wait_status) : 0;
-  shard.status.last_exit_code = exit_code;
   record_forensics(shard,
                    timed_out ? "timeout" : (exit_code == 0 ? "exit" : "crash"),
                    exit_code, term_signal, up_ms * 1e-3, &usage);
@@ -679,6 +678,7 @@ void CampaignSupervisor::record_forensics(const ShardRuntime& shard, const char*
                        std::chrono::system_clock::now().time_since_epoch())
                        .count();
   row.shard = shard.status.index;
+  row.shards = spec_.shards;
   row.attempt = std::max(1, shard.status.spawns);
   row.pid = shard.pid;
   row.event = event;

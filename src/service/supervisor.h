@@ -38,7 +38,6 @@ struct ShardStatus {
   int spawns = 0;
   int restarts = 0;
   int timeouts = 0;
-  int last_exit_code = 0;
   bool ok = false;                // delivered (or inherited) all its cases
   std::size_t cases_computed = 0;  // fresh records this run
   double active_seconds = 0.0;     // summed subprocess lifetimes

@@ -173,8 +173,9 @@ bool append_forensics_row(const std::string& path, const ForensicsRow& row) {
   }
   std::ostringstream line;
   line << "{\"ts_unix_ms\": " << row.ts_unix_ms << ", \"shard\": " << row.shard
-       << ", \"attempt\": " << row.attempt << ", \"pid\": " << row.pid << ", \"event\": \""
-       << obs::json::escaped(row.event) << "\", \"exit_code\": " << row.exit_code
+       << ", \"shards\": " << row.shards << ", \"attempt\": " << row.attempt
+       << ", \"pid\": " << row.pid << ", \"event\": \"" << obs::json::escaped(row.event)
+       << "\", \"exit_code\": " << row.exit_code
        << ", \"signal\": " << row.signal << ", \"signal_name\": \""
        << obs::json::escaped(row.signal == 0 ? std::string() : signal_name(row.signal))
        << "\", \"wall_s\": ";

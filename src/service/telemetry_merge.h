@@ -88,6 +88,7 @@ class TelemetryFlusher {
 struct ForensicsRow {
   long long ts_unix_ms = 0;
   int shard = -1;
+  int shards = 0;      // shard count of the layout `shard` indexes
   int attempt = 0;     // 1-based spawn number of this worker
   long long pid = -1;
   std::string event;   // exit | crash | timeout | shutdown | spawn_error

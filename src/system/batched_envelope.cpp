@@ -1,6 +1,7 @@
 #include "system/batched_envelope.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <optional>
@@ -20,6 +21,14 @@ namespace lcosc::system {
 
 namespace {
 
+// One guarded envelope step of a lane: input amplitude, output amplitude
+// and the substeps it took.
+struct StepMemo {
+  double in = 0.0;
+  double out = 0.0;
+  std::uint64_t substeps = 0;
+};
+
 // Cold per-lane state: everything the hot loop touches at most once per
 // regulation tick.  The per-substep state (amplitude, rectified mean)
 // lives in the BatchedState channels instead.
@@ -32,6 +41,12 @@ struct Lane {
   // Cached differential-port stage; equals the stage the serial path
   // constructs per call (refreshed on every code change).
   std::optional<driver::GmStage> port;
+  // The last step taken from `port` (DESIGN.md §12).  A step is a pure
+  // function of the amplitude, the port stage, rp, ceff and dt, and only
+  // the first two vary within a lane, so a step from a bitwise-equal
+  // amplitude on this stage is this step, bit for bit.
+  std::optional<StepMemo> last_step;
+  std::uint64_t memo_hits = 0;  // steps taken from last_step
   std::uint64_t substeps = 0;
   std::uint64_t steps = 0;  // macro steps advanced while the lane was active
   std::uint64_t ticks = 0;  // regulation ticks taken while the lane was active
@@ -43,7 +58,14 @@ struct Lane {
   bool ok = false;
 };
 
-void refresh_port(Lane& lane) { lane.port = lane.driver->differential_port_stage(); }
+// Re-read the port stage after a code change.  A code step that leaves
+// the stage bitwise unchanged keeps the step memo.
+void refresh_port(Lane& lane) {
+  const driver::GmStage next = lane.driver->differential_port_stage();
+  if (lane.port && driver::same_drive_stage(lane.port->config(), next.config())) return;
+  lane.port = next;
+  lane.last_step.reset();
+}
 
 }  // namespace
 
@@ -149,16 +171,27 @@ std::vector<BatchedLaneResult> run_batched_envelope(
     for (std::size_t l = 0; l < n; ++l) {
       if (!soa.active(l)) continue;
       Lane& lane = state[l];
-      // The same growth-rate evaluation the serial path performs via
-      // fundamental_port_current(), against the cached port stage.
-      const driver::GmStage& port = *lane.port;
-      const double rp = lane.rp;
-      const double ceff = lane.ceff;
-      auto lambda_of = [&](double a) {
-        const double n_eff = port.fundamental_current(a) / a;
-        return (n_eff - 1.0 / rp) / (2.0 * ceff);
-      };
-      amp[l] = advance_envelope_guarded(lambda_of, amp[l], dt, lane.substeps);
+      const double in = amp[l];
+      if (lane.last_step &&
+          std::bit_cast<std::uint64_t>(in) == std::bit_cast<std::uint64_t>(lane.last_step->in)) {
+        amp[l] = lane.last_step->out;
+        lane.substeps += lane.last_step->substeps;
+        ++lane.memo_hits;
+      } else {
+        // The same growth-rate evaluation the serial path performs via
+        // fundamental_port_current(), against the cached port stage.
+        const driver::GmStage& port = *lane.port;
+        const double rp = lane.rp;
+        const double ceff = lane.ceff;
+        auto lambda_of = [&](double a) {
+          const double n_eff = port.fundamental_current(a) / a;
+          return (n_eff - 1.0 / rp) / (2.0 * ceff);
+        };
+        std::uint64_t substeps = 0;
+        amp[l] = advance_envelope_guarded(lambda_of, in, dt, substeps);
+        lane.substeps += substeps;
+        lane.last_step = StepMemo{in, amp[l], substeps};
+      }
       ++lane.steps;
       if (!std::isfinite(amp[l])) {
         // The serial path throws ConvergenceError here; the lane drops
@@ -202,6 +235,7 @@ std::vector<BatchedLaneResult> run_batched_envelope(
   std::uint64_t total_substeps = 0;
   std::uint64_t total_lane_steps = 0;
   std::uint64_t total_lane_ticks = 0;
+  std::uint64_t total_memo_hits = 0;
   for (std::size_t l = 0; l < n; ++l) {
     Lane& lane = state[l];
     BatchedLaneResult& r = results[l];
@@ -209,6 +243,7 @@ std::vector<BatchedLaneResult> run_batched_envelope(
     total_substeps += lane.substeps;
     total_lane_steps += lane.steps;
     total_lane_ticks += lane.ticks;
+    total_memo_hits += lane.memo_hits;
     if (lane.fsm) lane.fsm->flush_metrics();
     if (!lane.ok || r.diverged) continue;
     r.final_code = lane.fsm->code();
@@ -239,6 +274,7 @@ std::vector<BatchedLaneResult> run_batched_envelope(
     registry.counter("envelope.batched.lane_steps").add(total_lane_steps);
     registry.counter("envelope.batched.substeps").add(total_substeps);
     registry.counter("envelope.batched.lane_ticks").add(total_lane_ticks);
+    registry.counter("envelope.batched.memo_hits").add(total_memo_hits);
   }
   return results;
 }

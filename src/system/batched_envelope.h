@@ -6,8 +6,10 @@
 // input, detector filter) lives in structure-of-arrays channels; the
 // per-lane effective Gm port stage -- which the serial path rebuilds from
 // the DAC decode on every integrator substep -- is cached per lane and
-// refreshed only when that lane's code changes.  All arithmetic flows
-// through the same compiled kernels as the serial path
+// refreshed only when that lane's code changes, and a step that starts
+// from the bitwise amplitude of the lane's previous step on the same
+// stage (a lane at its balance point) reuses that step.  All arithmetic
+// flows through the same compiled kernels as the serial path
 // (advance_envelope_guarded, GmStage::fundamental_current, the LowPass
 // update expression), so every lane's numbers are bit-identical to an
 // EnvelopeSimulator run of the same config (DESIGN.md §12).

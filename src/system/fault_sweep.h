@@ -38,7 +38,6 @@
 //   bool expects_detection(const Row&) const;
 #pragma once
 
-#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -60,15 +59,6 @@
 #include "system/oscillator_system.h"
 
 namespace lcosc::system {
-
-// Bit equality of two effective drive stages (OscillatorDriver::
-// effective_stage): equal stages make every driver output equal.
-inline bool same_drive_stage(const driver::GmStageConfig& a, const driver::GmStageConfig& b) {
-  return std::bit_cast<std::uint64_t>(a.gm) == std::bit_cast<std::uint64_t>(b.gm) &&
-         std::bit_cast<std::uint64_t>(a.current_limit) ==
-             std::bit_cast<std::uint64_t>(b.current_limit) &&
-         a.shape == b.shape;
-}
 
 // A fault riding along on another run's trajectory: an id of the
 // caller's choosing and a fault that acts only through the drive stage.
@@ -100,7 +90,7 @@ SimulationResult follow_shared_trajectory(RunSession& session, std::vector<Follo
     const driver::GmStageConfig stage = session.drive_stage();
     std::size_t kept = 0;
     for (const Follower& follower : followers) {
-      if (same_drive_stage(session.drive_stage(follower.fault), stage)) {
+      if (driver::same_drive_stage(session.drive_stage(follower.fault), stage)) {
         followers[kept++] = follower;
       } else {
         leave(follower, std::as_const(session));
@@ -240,7 +230,8 @@ std::vector<std::vector<std::size_t>> group_sweep_cases(const Family& family,
     std::optional<driver::GmStageConfig> stage;
     if (fault) stage = prefix.drive_stage(*fault);
     std::size_t g = 0;
-    while (g < groups.size() && !(stage && stages[g] && same_drive_stage(*stages[g], *stage))) {
+    while (g < groups.size() &&
+           !(stage && stages[g] && driver::same_drive_stage(*stages[g], *stage))) {
       ++g;
     }
     if (g == groups.size()) {

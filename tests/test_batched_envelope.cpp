@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "devices/batched_blocks.h"
 #include "devices/lowpass.h"
 #include "numeric/batched_state.h"
+#include "obs/metrics.h"
 #include "system/batched_envelope.h"
 #include "system/envelope_simulator.h"
 
@@ -136,6 +138,55 @@ TEST(BatchedEnvelope, MatchesSerialSimulatorExactly) {
 
     EXPECT_FALSE(batched[i].setup_failed) << "lane " << i;
     EXPECT_FALSE(batched[i].diverged) << "lane " << i;
+    EXPECT_EQ(batched[i].final_code, serial.final_code) << "lane " << i;
+    EXPECT_EQ(batched[i].settled_amplitude, serial.settled_amplitude()) << "lane " << i;
+    ASSERT_FALSE(serial.ticks.empty());
+    EXPECT_EQ(batched[i].supply_current, serial.ticks.back().supply_current)
+        << "lane " << i;
+    EXPECT_EQ(batched[i].substeps, serial.substeps) << "lane " << i;
+  }
+}
+
+TEST(BatchedEnvelope, MemoizedStepsMatchSerialAcrossTwoDecadesOfQ) {
+  // The benchmark's Q sweep regime: 4 MHz tanks at Q = 5, 40 and 320,
+  // each with its own mismatched DAC, over 40 ms.  Low-Q lanes sit at
+  // their balance point and replay their last step; Q = 320 lanes keep
+  // moving, so both the memo and the guarded step run.
+  std::vector<BatchedEnvelopeLane> lanes;
+  std::uint64_t dac_seed = 11;
+  for (const double q : {5.0, 40.0, 320.0}) {
+    for (int k = 0; k < 2; ++k) {
+      BatchedEnvelopeLane lane;
+      lane.config = base_config();
+      lane.config.tank = tank::design_tank(4.0_MHz, q, 3.3_uH);
+      lane.mismatch_dac = std::make_shared<const dac::CurrentLimitationDac>(
+          lane.config.driver.unit_current, dac::MismatchConfig{}, dac_seed++);
+      lanes.push_back(lane);
+    }
+  }
+
+  const bool was_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  auto& registry = obs::MetricsRegistry::instance();
+  const std::uint64_t hits_before = registry.counter("envelope.batched.memo_hits").total();
+  const std::uint64_t steps_before = registry.counter("envelope.batched.lane_steps").total();
+  const double duration = 40e-3;
+  const auto batched = run_batched_envelope(lanes, duration);
+  const std::uint64_t hits = registry.counter("envelope.batched.memo_hits").total() - hits_before;
+  const std::uint64_t steps =
+      registry.counter("envelope.batched.lane_steps").total() - steps_before;
+  obs::set_metrics_enabled(was_enabled);
+  EXPECT_GT(hits, 0u);
+  EXPECT_LT(hits, steps);
+
+  ASSERT_EQ(batched.size(), lanes.size());
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
+    EnvelopeSimulator sim(lanes[i].config);
+    sim.driver().use_mismatched_dac(lanes[i].mismatch_dac);
+    const EnvelopeRunResult serial = sim.run(duration);
+
+    ASSERT_FALSE(batched[i].setup_failed) << "lane " << i;
+    ASSERT_FALSE(batched[i].diverged) << "lane " << i;
     EXPECT_EQ(batched[i].final_code, serial.final_code) << "lane " << i;
     EXPECT_EQ(batched[i].settled_amplitude, serial.settled_amplitude()) << "lane " << i;
     ASSERT_FALSE(serial.ticks.empty());

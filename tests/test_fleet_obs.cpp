@@ -343,6 +343,7 @@ TEST_F(FleetObsFiles, ForensicsRowsAppendAsParseableFlatJsonl) {
   service::ForensicsRow row;
   row.ts_unix_ms = 1754650000000;
   row.shard = 2;
+  row.shards = 3;
   row.attempt = 3;
   row.pid = 4242;
   row.event = "crash";
@@ -375,6 +376,7 @@ TEST_F(FleetObsFiles, ForensicsRowsAppendAsParseableFlatJsonl) {
                                  fields[key] = value;
                                });
     EXPECT_EQ(fields.at("shard"), "2");
+    EXPECT_EQ(fields.at("shards"), "3");
     EXPECT_EQ(fields.at("attempt"), "3");
     EXPECT_EQ(fields.at("last_checkpoint_index"), "17");
     if (rows == 1) {

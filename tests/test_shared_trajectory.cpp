@@ -176,7 +176,7 @@ TEST(SharedTrajectory, EveryMemberResultEqualsItsStraightRun) {
   std::vector<Follower> followers;
   std::optional<faults::InternalFault> leader;
   for (std::size_t i = 0; i < stage_faults.size(); ++i) {
-    if (!same_drive_stage(prefix.drive_stage(stage_faults[i]), healthy)) continue;
+    if (!driver::same_drive_stage(prefix.drive_stage(stage_faults[i]), healthy)) continue;
     if (!leader) {
       leader = stage_faults[i];
     } else {
