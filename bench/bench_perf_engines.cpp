@@ -3,6 +3,8 @@
 // substrates are visible.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+
 #include "common/units.h"
 #include "dac/current_mirror.h"
 #include "numeric/lu.h"
@@ -166,6 +168,9 @@ void BM_EnvelopeSimMillisecond(benchmark::State& state) {
 }
 BENCHMARK(BM_EnvelopeSimMillisecond)->Arg(0)->Arg(1);
 
+// One simulated millisecond of the Q=40 system.  per_step, the CPU time
+// of one RK4 step with its loop work (detectors, safety, ticks), is the
+// per-layer figure of the cycle-accurate engine.
 void BM_CycleAccurateSimMillisecond(benchmark::State& state) {
   system::OscillatorSystemConfig cfg;
   cfg.tank = tank::design_tank(4.0_MHz, 40.0, 3.3_uH);
@@ -174,6 +179,10 @@ void BM_CycleAccurateSimMillisecond(benchmark::State& state) {
     system::OscillatorSystem sys(cfg);
     benchmark::DoNotOptimize(sys.run(1e-3).final_code);
   }
+  const double dt = 1.0 / (tank::RlcTank(cfg.tank).resonance_frequency() * cfg.steps_per_period);
+  state.counters["per_step"] =
+      benchmark::Counter(std::ceil(1e-3 / dt), benchmark::Counter::kIsIterationInvariantRate |
+                                                   benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_CycleAccurateSimMillisecond);
 

@@ -48,11 +48,11 @@ if [[ "${1:-}" == "--sanitize" ]]; then
   # gtest_discover_tests registers Suite.Case names; match the suites of
   # the fault-injection, campaign and batched-lockstep binaries, the
   # flush-to-zero guard's throw paths, the trajectory-sharing fault sweep,
-  # same-instant scenario events, and the JSON reader with its seeded
-  # mutation fuzzer.  (-R must precede the bare -j or ctest parses it as
-  # the job count.)
+  # the engine's hexfloat fixture, same-instant scenario events, and the
+  # JSON reader with its seeded mutation fuzzer.  (-R must precede the bare
+  # -j or ctest parses it as the job count.)
   ctest --output-on-failure \
-    -R '^(Campaign|Internal|Fault|Fmea|Parallel|System|Tolerance|Batched|DeviceBanks|Checkpoint|NumericNameLess|Service|FleetObs|RunSession|FlushToZero|TelemetryDeterminism|Json|SharedTrajectory|Scenario)' -j
+    -R '^(Campaign|Internal|Fault|Fmea|Parallel|System|Tolerance|Batched|DeviceBanks|Checkpoint|NumericNameLess|Service|FleetObs|RunSession|FlushToZero|TelemetryDeterminism|Json|SharedTrajectory|Scenario|EngineFixture)' -j
   exit 0
 fi
 

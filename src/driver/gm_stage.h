@@ -29,13 +29,13 @@ class GmStage {
   void set_current_limit(double limit);
   void set_gm(double gm);
 
-  // Static output current for input voltage v (Fig. 2).  Inline: this is
-  // the innermost call of the RK4 system loop (four derivative
+  // Static output current for input voltage v (Fig. 2).  Forced inline:
+  // this is the innermost call of the RK4 system loop (four derivative
   // evaluations per step, two stages each).
-  [[nodiscard]] double output_current(double v) const {
+  [[nodiscard, gnu::always_inline]] double output_current(double v) const {
     const double im = config_.current_limit;
     switch (config_.shape) {
-      case LimitShape::Hard:
+      [[likely]] case LimitShape::Hard:
         return std::clamp(config_.gm * v, -im, im);
       case LimitShape::Tanh:
         return im > 0.0 ? im * std::tanh(config_.gm * v / im) : 0.0;

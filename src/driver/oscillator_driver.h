@@ -76,35 +76,33 @@ class OscillatorDriver {
 
   // Cross-coupled static output: i(LC1) = f(-v2), i(LC2) = f(-v1).
   //
-  // Hot path: the behavioral RK4 loop evaluates this four times per step
-  // for tens of millions of steps, so the effective GmStage parameters
-  // (DAC decode, fault-bus hooks) are cached and only recomputed when a
-  // setter runs or the attached fault bus changes revision.  The cached
-  // parameters are the exact values equivalent_gm()/current_limit()
-  // return, so results are bit-identical to the uncached evaluation.
-  // Defined inline so the system's derivative evaluation can absorb it.
+  // Hot path: the effective GmStage parameters (DAC decode, fault-bus
+  // hooks) are cached and only recomputed when a setter runs or the
+  // attached fault bus changes revision.  The cached parameters are the
+  // exact values equivalent_gm()/current_limit() return, so results are
+  // bit-identical to the uncached evaluation.  The system's RK4 kernel
+  // looks the stage up once per step (active_stage) and evaluates the
+  // same pin_currents law four times.
   [[nodiscard]] NodeCurrents output(double v1, double v2) const {
     if (!enabled_) return {};
-    const GmStage& st = stage();
-    // Output compliance: a stage pushing current outward loses headroom as
-    // the pin approaches its rail (the mirror devices drop out of
-    // saturation); pulling back towards Vref is unaffected.
-    const auto comply = [&](double i, double v) {
-      const double w = config_.compliance_width;
-      // Fast path: a pin at least one transition width away from both
-      // rails has both clamp arguments >= 1, so the factor is exactly 1.0
-      // and i * 1.0 == i bit-for-bit -- skip the division.  (NaN inputs
-      // fail both comparisons and fall through to the exact slow path.)
-      if (v <= config_.rail_headroom - w && v >= w - config_.rail_headroom) return i;
-      if (i > 0.0) {
-        return i * std::clamp((config_.rail_headroom - v) / w, 0.0, 1.0);
-      }
-      return i * std::clamp((v + config_.rail_headroom) / w, 0.0, 1.0);
-    };
-    // Cross-coupled inverting stages referenced to Vref (v are deviations
-    // from Vref): each stage senses the opposite pin.
-    return {.into_lc1 = comply(st.output_current(-v2), v1),
-            .into_lc2 = comply(st.output_current(-v1), v2)};
+    return pin_currents(stage(), config_, v1, v2);
+  }
+
+  // The stage output() evaluates, or nullptr while the driver is
+  // disabled (output() is then zero).
+  [[nodiscard]] const GmStage* active_stage() const { return enabled_ ? &stage() : nullptr; }
+
+  // The pin-current law of output(): each inverting stage senses the
+  // opposite pin (v are deviations from Vref), and its output complies
+  // with the pin's headroom.  Forced inline, with its helpers: the
+  // innermost call of the RK4 system loop, evaluated 4 times per step,
+  // where a call per evaluation would put a store and reload on every
+  // link of the step's dependency chain.
+  [[nodiscard, gnu::always_inline]] static NodeCurrents pin_currents(const GmStage& st,
+                                                                    const DriverConfig& config,
+                                                                    double v1, double v2) {
+    return {.into_lc1 = comply(config, st.output_current(-v2), v1),
+            .into_lc2 = comply(config, st.output_current(-v1), v2)};
   }
 
   // Fundamental drive current delivered into the differential port for a
@@ -138,6 +136,23 @@ class OscillatorDriver {
   [[nodiscard]] const DriverConfig& config() const { return config_; }
 
  private:
+  // Output compliance: a stage pushing current outward loses headroom as
+  // the pin approaches its rail (the mirror devices drop out of
+  // saturation); pulling back towards Vref is unaffected.
+  [[nodiscard, gnu::always_inline]] static double comply(const DriverConfig& config, double i,
+                                                         double v) {
+    const double w = config.compliance_width;
+    // Fast path: a pin at least one transition width away from both
+    // rails has both clamp arguments >= 1, so the factor is exactly 1.0
+    // and i * 1.0 == i bit-for-bit -- skip the division.  (NaN inputs
+    // fail both comparisons and fall through to the exact slow path.)
+    if (v <= config.rail_headroom - w && v >= w - config.rail_headroom) [[likely]] return i;
+    if (i > 0.0) {
+      return i * std::clamp((config.rail_headroom - v) / w, 0.0, 1.0);
+    }
+    return i * std::clamp((v + config.rail_headroom) / w, 0.0, 1.0);
+  }
+
   // Cached effective stage for output(); revalidated against the setters
   // and the fault-bus revision (see output() above).
   [[nodiscard]] const GmStage& stage() const {

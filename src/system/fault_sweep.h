@@ -16,7 +16,8 @@
 // at regulation ticks, so at each tick that moves it every other member's
 // stage is re-evaluated; a member whose stage now differs leaves on a
 // copy of the group's session with its own fault switched in.  Every
-// member's row, record and counters are those of its own run.
+// member's row, record and counters are those of its own run.  Sweep
+// sessions record no envelope: no row reads it.
 //
 // When the prefix, a group or a leaving member's continuation throws,
 // the affected cases fall back to run_sweep_case -- the per-case
@@ -375,7 +376,7 @@ std::vector<typename Family::Row> run_fault_sweep(const Family& family, std::siz
     const obs::Span span(std::string(Family::kCampaign) + ":settle_prefix");
     const OscillatorSystem base(
         detail::sweep_attempt_config(config.system, 0, config.step_budget, duration));
-    prefix.emplace(base, duration);
+    prefix.emplace(base, duration, /*record_envelope=*/false);
     prefix->advance_until(config.settle_time);
   } catch (const std::exception&) {
     prefix.reset();

@@ -123,49 +123,96 @@ void OscillatorSystem::schedule_event(double at_time, ScenarioAction action) {
   events_.insert(at, {at_time, std::move(action)});
 }
 
-OscillatorSystem::TankState OscillatorSystem::derivatives(const TankState& s,
-                                                          const ActiveTank& t) const {
-  const driver::NodeCurrents drv = driver_.output(s.v1, s.v2);
-  const double il = t.loop_open ? 0.0 : s.il;
+void OscillatorSystem::rk4_step(RunState& rs) const {
+  // What a derivative evaluation reads, looked up once per step: nothing
+  // it depends on changes inside a step.
+  struct Inputs {
+    const ActiveTank* tank;
+    const driver::GmStage* stage;  // nullptr: driver disabled, no drive
+    const driver::DriverConfig* driver;
+    // Finite driver speed: the delivered currents lag the ideal
+    // cross-coupled response with a single pole at driver_bandwidth.
+    bool slow_driver;
+    double w_drv;
+    // Soft rail clamps (ESD/junction paths) keep faulted scenarios bounded.
+    double v_rail_hi;
+    double v_rail_lo;
+  };
+  const Inputs in{.tank = &rs.active,
+                  .stage = driver_.active_stage(),
+                  .driver = &driver_.config(),
+                  .slow_driver = config_.driver_bandwidth > 0.0,
+                  .w_drv = kTwoPi * config_.driver_bandwidth,
+                  .v_rail_hi = config_.vdd - config_.vref_dc,
+                  .v_rail_lo = -config_.vref_dc};
 
-  // Finite driver speed: the delivered currents lag the ideal cross-coupled
-  // response with a single pole at driver_bandwidth.
-  const bool slow_driver = config_.driver_bandwidth > 0.0;
-  const double w_drv = kTwoPi * config_.driver_bandwidth;
-  const double i1 = slow_driver ? s.i1 : drv.into_lc1;
-  const double i2 = slow_driver ? s.i2 : drv.into_lc2;
+  // Forced inline at all four call sites, with the pin-current law: an
+  // out-of-line call per evaluation would put a store and reload of the
+  // state on every link of the step's dependency chain.
+  struct Derivative {
+    [[gnu::always_inline]] static double rail_current(const Inputs& p, double v) {
+      const double g_rail = 2e-3;
+      if (v > p.v_rail_hi) return -g_rail * (v - p.v_rail_hi);
+      if (v < p.v_rail_lo) return g_rail * (p.v_rail_lo - v);
+      return 0.0;
+    }
+    [[gnu::always_inline]] static TankState of(const Inputs& p, const TankState& s) {
+      const driver::NodeCurrents drv =
+          p.stage != nullptr
+              ? driver::OscillatorDriver::pin_currents(*p.stage, *p.driver, s.v1, s.v2)
+              : driver::NodeCurrents{};
+      const ActiveTank& t = *p.tank;
+      const double il = t.loop_open ? 0.0 : s.il;
+      const double i1 = p.slow_driver ? s.i1 : drv.into_lc1;
+      const double i2 = p.slow_driver ? s.i2 : drv.into_lc2;
 
-  // Soft rail clamps (ESD/junction paths) keep faulted scenarios bounded.
-  const double v_rail_hi = config_.vdd - config_.vref_dc;
-  const double v_rail_lo = -config_.vref_dc;
-  const double g_rail = 2e-3;
-  auto rail_current = [&](double v) {
-    if (v > v_rail_hi) return -g_rail * (v - v_rail_hi);
-    if (v < v_rail_lo) return g_rail * (v_rail_lo - v);
-    return 0.0;
+      TankState d;
+      if (t.pin1_grounded || t.pin1_to_supply) {
+        d.v1 = 0.0;  // pin voltage frozen at the short level
+      } else {
+        d.v1 = (i1 - il + rail_current(p, s.v1)) / t.config.capacitance1;
+      }
+      if (t.pin2_grounded) {
+        d.v2 = 0.0;
+      } else {
+        d.v2 = (i2 + il + rail_current(p, s.v2)) / t.config.capacitance2;
+      }
+      if (t.loop_open) {
+        d.il = 0.0;
+      } else {
+        d.il = ((s.v1 - s.v2) - t.config.series_resistance * s.il) / t.config.inductance;
+      }
+      if (p.slow_driver) {
+        d.i1 = (drv.into_lc1 - s.i1) * p.w_drv;
+        d.i2 = (drv.into_lc2 - s.i2) * p.w_drv;
+      }
+      return d;
+    }
+  };
+  // With an ideal driver the driver-current states stay 0 and no
+  // derivative reads them, so their updates are skipped.
+  const auto advance = [&in](const TankState& base, double h, const TankState& k) {
+    TankState x{base.v1 + h * k.v1, base.v2 + h * k.v2, base.il + h * k.il};
+    if (in.slow_driver) {
+      x.i1 = base.i1 + h * k.i1;
+      x.i2 = base.i2 + h * k.i2;
+    }
+    return x;
   };
 
-  TankState d;
-  if (t.pin1_grounded || t.pin1_to_supply) {
-    d.v1 = 0.0;  // pin voltage frozen at the short level
-  } else {
-    d.v1 = (i1 - il + rail_current(s.v1)) / t.config.capacitance1;
+  TankState& s = rs.s;
+  const double dt = rs.dt;
+  const TankState k1 = Derivative::of(in, s);
+  const TankState k2 = Derivative::of(in, advance(s, 0.5 * dt, k1));
+  const TankState k3 = Derivative::of(in, advance(s, 0.5 * dt, k2));
+  const TankState k4 = Derivative::of(in, advance(s, dt, k3));
+  s.v1 += dt / 6.0 * (k1.v1 + 2.0 * k2.v1 + 2.0 * k3.v1 + k4.v1);
+  s.v2 += dt / 6.0 * (k1.v2 + 2.0 * k2.v2 + 2.0 * k3.v2 + k4.v2);
+  s.il += dt / 6.0 * (k1.il + 2.0 * k2.il + 2.0 * k3.il + k4.il);
+  if (in.slow_driver) {
+    s.i1 += dt / 6.0 * (k1.i1 + 2.0 * k2.i1 + 2.0 * k3.i1 + k4.i1);
+    s.i2 += dt / 6.0 * (k1.i2 + 2.0 * k2.i2 + 2.0 * k3.i2 + k4.i2);
   }
-  if (t.pin2_grounded) {
-    d.v2 = 0.0;
-  } else {
-    d.v2 = (i2 + il + rail_current(s.v2)) / t.config.capacitance2;
-  }
-  if (t.loop_open) {
-    d.il = 0.0;
-  } else {
-    d.il = ((s.v1 - s.v2) - t.config.series_resistance * s.il) / t.config.inductance;
-  }
-  if (slow_driver) {
-    d.i1 = (drv.into_lc1 - s.i1) * w_drv;
-    d.i2 = (drv.into_lc2 - s.i2) * w_drv;
-  }
-  return d;
 }
 
 OscillatorSystem::RunState OscillatorSystem::begin_run(double duration) {
@@ -229,22 +276,6 @@ void OscillatorSystem::advance_run(RunState& rs, double stop_time) {
   TankState& s = rs.s;
   SimulationResult& result = rs.result;
 
-  auto advance = [&](const TankState& base, double h, const TankState& k) {
-    return TankState{base.v1 + h * k.v1, base.v2 + h * k.v2, base.il + h * k.il,
-                     base.i1 + h * k.i1, base.i2 + h * k.i2};
-  };
-  auto rk4_step = [&](const ActiveTank& t) {
-    const TankState k1 = derivatives(s, t);
-    const TankState k2 = derivatives(advance(s, 0.5 * dt, k1), t);
-    const TankState k3 = derivatives(advance(s, 0.5 * dt, k2), t);
-    const TankState k4 = derivatives(advance(s, dt, k3), t);
-    s.v1 += dt / 6.0 * (k1.v1 + 2.0 * k2.v1 + 2.0 * k3.v1 + k4.v1);
-    s.v2 += dt / 6.0 * (k1.v2 + 2.0 * k2.v2 + 2.0 * k3.v2 + k4.v2);
-    s.il += dt / 6.0 * (k1.il + 2.0 * k2.il + 2.0 * k3.il + k4.il);
-    s.i1 += dt / 6.0 * (k1.i1 + 2.0 * k2.i1 + 2.0 * k3.i1 + k4.i1);
-    s.i2 += dt / 6.0 * (k1.i2 + 2.0 * k2.i2 + 2.0 * k3.i2 + k4.i2);
-  };
-
   while (rs.step < rs.total_steps) {
     // Pause at the loop top: exactly the position where an event
     // scheduled at stop_time would fire on the next iteration.
@@ -306,7 +337,7 @@ void OscillatorSystem::advance_run(RunState& rs, double stop_time) {
       continue;
     }
 
-    rk4_step(rs.active);
+    rk4_step(rs);
     rs.t += dt;
 
     const double vd = s.v1 - s.v2;
@@ -318,20 +349,22 @@ void OscillatorSystem::advance_run(RunState& rs, double stop_time) {
     safety_.step(rs.t, dt, s.v1, s.v2);
 
     // Envelope tracking.
-    const bool positive = vd >= 0.0;
-    if (positive != rs.env_last_positive) {
-      if (rs.env_have &&
-          (result.envelope.empty() || rs.env_peak_time > result.envelope.end_time())) {
-        result.envelope.append(rs.env_peak_time, rs.env_peak);
+    if (rs.record_envelope) {
+      const bool positive = vd >= 0.0;
+      if (positive != rs.env_last_positive) {
+        if (rs.env_have &&
+            (result.envelope.empty() || rs.env_peak_time > result.envelope.end_time())) {
+          result.envelope.append(rs.env_peak_time, rs.env_peak);
+        }
+        rs.env_peak = 0.0;
+        rs.env_have = false;
+        rs.env_last_positive = positive;
       }
-      rs.env_peak = 0.0;
-      rs.env_have = false;
-      rs.env_last_positive = positive;
-    }
-    if (std::abs(vd) >= rs.env_peak) {
-      rs.env_peak = std::abs(vd);
-      rs.env_peak_time = rs.t;
-      rs.env_have = true;
+      if (std::abs(vd) >= rs.env_peak) {
+        rs.env_peak = std::abs(vd);
+        rs.env_peak_time = rs.t;
+        rs.env_have = true;
+      }
     }
 
     if (rs.record &&
@@ -406,8 +439,10 @@ SimulationResult OscillatorSystem::run(double duration) {
   return finish_run(rs);
 }
 
-RunSession::RunSession(const OscillatorSystem& system, double duration)
-    : system_(system), state_(system_.begin_run(duration)) {}
+RunSession::RunSession(const OscillatorSystem& system, double duration, bool record_envelope)
+    : system_(system), state_(system_.begin_run(duration)) {
+  state_.record_envelope = record_envelope;
+}
 
 RunSession::RunSession(const RunSession& other)
     : system_(other.system_), state_(other.state_) {

@@ -73,7 +73,8 @@ struct SimulationResult {
   // Pin voltages (same decimation).
   Trace v_lc1;
   Trace v_lc2;
-  // Per-half-cycle envelope of the differential voltage.
+  // Per-half-cycle envelope of the differential voltage; empty for a
+  // RunSession made without it (the fault sweep's).
   Trace envelope;
   // Discrete regulation/safety state per 1 ms tick.
   std::vector<TickRecord> ticks;
@@ -169,7 +170,9 @@ class OscillatorSystem {
     TankState s{};
     ActiveTank active{};
     bool record = false;
-    // Inline envelope tracker (per-half-cycle peak of |v_diff|).
+    // Inline envelope tracker (per-half-cycle peak of |v_diff|); off in
+    // sweep sessions, whose rows never read the envelope.
+    bool record_envelope = true;
     double env_peak = 0.0;
     double env_peak_time = 0.0;
     bool env_have = false;
@@ -179,7 +182,9 @@ class OscillatorSystem {
 
   friend class RunSession;
 
-  [[nodiscard]] TankState derivatives(const TankState& s, const ActiveTank& t) const;
+  // One RK4 step of rs's tank state: four derivative evaluations, then
+  // the combine.
+  void rk4_step(RunState& rs) const;
 
   // run() split at pausable boundaries: preamble, loop, epilogue.  The
   // loop pauses (returns) when the loop-top time reaches stop_time.
@@ -221,7 +226,10 @@ class OscillatorSystem {
 class RunSession {
  public:
   // Copies `system` and performs run()'s preamble (resets, bus clear).
-  RunSession(const OscillatorSystem& system, double duration);
+  // With record_envelope false the result's envelope stays empty (the
+  // fault sweep's sessions: no row reads it, and it grows by ~2 MiB per
+  // 16 ms run); everything else is unchanged.
+  RunSession(const OscillatorSystem& system, double duration, bool record_envelope = true);
   // Deep copy; the copy re-attaches its subsystems to its own fault
   // bus (never aliasing the source session's).
   RunSession(const RunSession& other);
