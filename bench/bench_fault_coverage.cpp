@@ -102,12 +102,18 @@ void write_json(const std::string& path, const InternalFmeaReport& report,
 
   // Telemetry: the registry snapshot includes the per-fault detection
   // latency histogram (internal_fmea.detection_latency_ms) recorded by
-  // the campaign runner.
+  // the campaign runner.  The pool.* gauges are left out: their peaks
+  // depend on how fast pool threads pick up work, outside the determinism
+  // contract (common/parallel.cpp), so with them the record would differ
+  // between runs of one binary.
+  obs::MetricsSnapshot metrics = obs::MetricsRegistry::instance().snapshot();
+  std::erase_if(metrics.gauges,
+                [](const obs::GaugeSnapshot& g) { return g.name.starts_with("pool."); });
   out << "  \"telemetry\": {\n"
       << "    \"metrics_enabled\": " << (obs::metrics_enabled() ? "true" : "false") << ",\n"
       << "    \"trace_enabled\": " << (obs::trace_enabled() ? "true" : "false") << ",\n"
       << "    \"trace_events\": " << obs::trace_event_count() << ",\n"
-      << "    \"metrics\": " << obs::MetricsRegistry::instance().snapshot().to_json(4)
+      << "    \"metrics\": " << metrics.to_json(4)
       << "\n  }\n}\n";
 
   // Atomic write (temp + rename): a bench killed mid-emit must never

@@ -186,6 +186,35 @@ void BM_CycleAccurateSimMillisecond(benchmark::State& state) {
 }
 BENCHMARK(BM_CycleAccurateSimMillisecond);
 
+// The same millisecond with an open coil, from a RunSession copied past
+// its safe-state entry.  The pins sit on a bitwise fixed point there, so
+// after each tick's probe the steps are replayed, not integrated
+// (DESIGN.md §20); per_step is a replayed step with its loop work.
+void BM_CycleAccurateReplayedMillisecond(benchmark::State& state) {
+  system::OscillatorSystemConfig cfg;
+  cfg.tank = tank::design_tank(4.0_MHz, 40.0, 3.3_uH);
+  cfg.waveform_decimation = 0;
+  system::OscillatorSystem sys(cfg);
+  sys.schedule_fault(tank::TankFault::OpenCoil, 1e-3);
+  constexpr double kSafeStateEntered = 4e-3;
+  system::RunSession safe(sys, kSafeStateEntered + 1e-3);
+  safe.advance_until(kSafeStateEntered);
+  for (auto _ : state) {
+    system::RunSession session(safe);
+    const system::SimulationResult result = session.finish();
+    if (result.final_code != safe.code() ||
+        result.final_mode != regulation::RegulationMode::SafeState) {
+      state.SkipWithError("the open coil did not hold the safe state");
+      break;
+    }
+  }
+  const double dt = 1.0 / (tank::RlcTank(cfg.tank).resonance_frequency() * cfg.steps_per_period);
+  state.counters["per_step"] =
+      benchmark::Counter(std::ceil(1e-3 / dt), benchmark::Counter::kIsIterationInvariantRate |
+                                                   benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_CycleAccurateReplayedMillisecond);
+
 // The spec.json round trip a campaign-service coordinator and each of
 // its shard workers make before the first case: an internal-FMEA spec at
 // the campaign benchmark's injection instant 6 + (k - 16)/128 ms, k =

@@ -141,13 +141,18 @@ echo "chunked drain smoke: per-case and lockstep-chunked reports byte-identical"
 
 # The same for external FMEA (DESIGN.md §17): one shared settle prefix
 # per chunk in the single-process run, one per case across 3 shards.
-"$svc" --kind fmea --shards 1 \
+# With telemetry on, the merged metrics.json must be byte-identical too,
+# including the replayed-step count of the faulted continuations
+# (DESIGN.md §20).
+LCOSC_METRICS=1 "$svc" --kind fmea --shards 1 \
   --checkpoint-dir "$smoke_dir/fmea_ref" --report "$smoke_dir/fmea_ref_report.txt" --quiet >/dev/null
-"$svc" --kind fmea --shards 3 --chunk-lanes 1 \
+LCOSC_METRICS=1 "$svc" --kind fmea --shards 3 --chunk-lanes 1 \
   --checkpoint-dir "$smoke_dir/fmea_chunk1" --report "$smoke_dir/fmea_chunk1_report.txt" \
   --quiet >/dev/null
 cmp "$smoke_dir/fmea_ref_report.txt" "$smoke_dir/fmea_chunk1_report.txt"
-echo "fmea chunked drain smoke: per-case and shared-prefix reports byte-identical"
+cmp "$smoke_dir/fmea_ref/telemetry/metrics.json" "$smoke_dir/fmea_chunk1/telemetry/metrics.json"
+grep -q '"system.replayed_steps"' "$smoke_dir/fmea_ref/telemetry/metrics.json"
+echo "fmea chunked drain smoke: per-case and shared-prefix reports and merged metrics byte-identical"
 
 # Internal FMEA (DESIGN.md §18): in the single-process run, faults whose
 # drive stages agree share one continuation of the span's settle prefix;

@@ -1,6 +1,8 @@
 #include "system/oscillator_system.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -123,7 +125,8 @@ void OscillatorSystem::schedule_event(double at_time, ScenarioAction action) {
   events_.insert(at, {at_time, std::move(action)});
 }
 
-void OscillatorSystem::rk4_step(RunState& rs) const {
+// Forced inline into advance_run, its one caller, at every optimization level.
+[[gnu::always_inline]] inline void OscillatorSystem::rk4_step(RunState& rs) const {
   // What a derivative evaluation reads, looked up once per step: nothing
   // it depends on changes inside a step.
   struct Inputs {
@@ -215,6 +218,43 @@ void OscillatorSystem::rk4_step(RunState& rs) const {
   }
 }
 
+bool OscillatorSystem::OrbitReplay::replay(TankState& s) {
+  if (mode_ == Mode::Replay) {
+    s = period_[phase_];
+    if (++phase_ == period_.size()) phase_ = 0;
+    ++replayed_;
+    return true;
+  }
+  if (mode_ == Mode::Anchor) {
+    anchor_ = s;
+    steps_ = 0;
+    mode_ = Mode::Probe;
+  }
+  return false;
+}
+
+void OscillatorSystem::OrbitReplay::observe(const TankState& s) {
+  if (mode_ == Mode::Probe) {
+    // Bits, not values: +0 and -0 compare equal yet can step apart.
+    using Words = std::array<std::uint64_t, 5>;
+    ++steps_;
+    if (std::bit_cast<Words>(s) == std::bit_cast<Words>(anchor_)) {
+      // Record one more period, then replay it.
+      period_.clear();
+      period_.reserve(steps_);
+      mode_ = Mode::Record;
+    } else if (steps_ == kWindow) {
+      mode_ = Mode::Idle;
+    }
+  } else if (mode_ == Mode::Record) {
+    period_.push_back(s);
+    if (period_.size() == steps_) {
+      phase_ = 0;
+      mode_ = Mode::Replay;
+    }
+  }
+}
+
 OscillatorSystem::RunState OscillatorSystem::begin_run(double duration) {
   LCOSC_REQUIRE(duration > 0.0, "duration must be positive");
 
@@ -290,6 +330,7 @@ void OscillatorSystem::advance_run(RunState& rs, double stop_time) {
       fsm_.apply_nvm_preset();
       driver_.set_code(fsm_.code());
       rs.nvm_applied = true;
+      rs.orbit.restart();
     }
     while (rs.next_event < events_.size() && rs.t >= events_[rs.next_event].time) {
       const ScenarioAction& action = events_[rs.next_event].action;
@@ -329,6 +370,7 @@ void OscillatorSystem::advance_run(RunState& rs, double stop_time) {
         }
       }
       ++rs.next_event;
+      rs.orbit.restart();
     }
 
     if (fault_bus_.stalled()) {
@@ -337,7 +379,13 @@ void OscillatorSystem::advance_run(RunState& rs, double stop_time) {
       continue;
     }
 
-    rk4_step(rs);
+    // Exact orbit replay (DESIGN.md §20): once the state has come back
+    // to its anchor, the period is replayed instead of integrated.
+    const bool watched = !rs.orbit.idle();
+    if (!watched || !rs.orbit.replay(s)) {
+      rk4_step(rs);
+      if (watched) rs.orbit.observe(s);
+    }
     rs.t += dt;
 
     const double vd = s.v1 - s.v2;
@@ -382,6 +430,7 @@ void OscillatorSystem::advance_run(RunState& rs, double stop_time) {
         fsm_.tick(detector_.window_state());
       }
       driver_.set_code(fsm_.code());
+      rs.orbit.restart();
 
       TickRecord tick;
       tick.time = rs.t;
@@ -421,6 +470,12 @@ SimulationResult OscillatorSystem::finish_run(RunState& rs, std::uint64_t runs) 
     run_count.add(runs);
     steps.add(runs * rs.total_steps);
     ticks.add(runs * rs.result.ticks.size());
+    // Registered on its first non-zero add: runs that never repeat keep
+    // the snapshot they had before orbit replay.
+    if (rs.orbit.replayed() > 0) {
+      static obs::Counter& replayed = registry.counter("system.replayed_steps");
+      replayed.add(runs * rs.orbit.replayed());
+    }
   }
   return std::move(rs.result);
 }
@@ -481,6 +536,7 @@ void RunSession::switch_internal_fault(const faults::InternalFault& fault) {
                     faults::acts_only_through_drive_stage(fault),
                 "switch_internal_fault swaps only faults that act through the drive stage");
   system_.fault_bus_.inject(fault);
+  state_.orbit.restart();
   // The tick step already evaluated the supply current at the new code
   // under the old fault; everything else it did is stage-independent.
   state_.result.ticks.back().supply_current = system_.tick_supply_current();

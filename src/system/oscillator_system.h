@@ -145,6 +145,45 @@ class OscillatorSystem {
     double i2 = 0.0;
   };
 
+  // Exact orbit replay (DESIGN.md §20).  Between two points where an
+  // input of rk4_step other than the state can change -- run start, the
+  // NVM preset, a scenario event, a regulation tick,
+  // RunSession::switch_internal_fault -- a step is a pure function of the
+  // state.  The state after such a point is the anchor; if a later step
+  // returns to it bit for bit, the steps in between are a period that
+  // repeats exactly until the next point, and are replayed from a buffer
+  // instead of integrated.
+  class OrbitReplay {
+   public:
+    OrbitReplay() = default;
+    // A copy keeps the tally but not the period: it re-probes from its
+    // next step, which is exact too, and copies no buffer.
+    OrbitReplay(const OrbitReplay& other) : replayed_(other.replayed_) {}
+
+    // At a point: the next step's start state becomes the anchor.
+    void restart() { mode_ = Mode::Anchor; }
+    // True once the probe window passed without a repeat.
+    [[nodiscard]] bool idle() const { return mode_ == Mode::Idle; }
+    // Before a step that is not idle: true if it wrote the step's state
+    // into s, false if the step is to be integrated and then observed.
+    bool replay(TankState& s);
+    void observe(const TankState& s);
+    [[nodiscard]] std::uint64_t replayed() const { return replayed_; }
+
+   private:
+    // Steps a probe compares before it gives up until the next point.  The
+    // longest period the §7 faults show (654 steps) fits, and the period
+    // buffer stays within 40 KiB.
+    static constexpr std::uint32_t kWindow = 1024;
+    enum class Mode : std::uint8_t { Anchor, Probe, Record, Replay, Idle };
+    Mode mode_ = Mode::Anchor;
+    std::uint32_t steps_ = 0;  // steps since the anchor; the period once it repeated
+    std::uint32_t phase_ = 0;  // index in period_ of the next replayed state
+    TankState anchor_{};
+    std::vector<TankState> period_;  // allocated once the anchor came back
+    std::uint64_t replayed_ = 0;
+  };
+
   // Structural view of the (possibly faulted) tank during the run.
   struct ActiveTank {
     tank::TankConfig config{};
@@ -168,6 +207,7 @@ class OscillatorSystem {
     double next_tick = 0.0;
     double t = 0.0;
     TankState s{};
+    OrbitReplay orbit{};
     ActiveTank active{};
     bool record = false;
     // Inline envelope tracker (per-half-cycle peak of |v_diff|); off in

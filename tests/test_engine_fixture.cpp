@@ -1,17 +1,20 @@
 // The cycle-accurate engine's bits, locked by a hexfloat fixture recorded
-// with the engine that preceded the present RK4 kernel (DESIGN.md §19).
+// with the engines that preceded the present RK4 kernel (DESIGN.md §19)
+// and exact orbit replay (§20).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/atomic_file.h"
 #include "common/units.h"
+#include "obs/metrics.h"
 #include "system/fmea_campaign.h"
 #include "system/oscillator_system.h"
 
@@ -52,30 +55,56 @@ tank::FaultSeverity section7_severity() {
 struct FixtureRun {
   std::string name;
   OscillatorSystemConfig config;
-  std::optional<tank::TankFault> fault;
+  std::vector<std::pair<double, ScenarioAction>> events;
+  // The tank state comes back bit for bit after the fault, so orbit
+  // replay takes part of the run.
+  bool repeats = false;
 };
+
+std::pair<double, ScenarioAction> fault_event(tank::TankFault fault) {
+  return {kFaultAt, FaultEvent{fault, section7_severity()}};
+}
 
 // The healthy run, every external fault at kFaultAt, a slow driver and
 // the Tanh limiter: every branch of the derivative and each kind of
-// scenario event.
+// scenario event.  Then runs that end a replayed stretch by an event
+// (between two ticks, so the event and not a tick ends it), replay the
+// driver-current states, or keep a faulted Tanh run that never repeats.
 std::vector<FixtureRun> fixture_runs() {
+  using tank::TankFault;
   std::vector<FixtureRun> runs;
-  runs.push_back({"healthy", q40_system(), std::nullopt});
-  for (const tank::TankFault fault : fmea_fault_list()) {
-    runs.push_back({tank::to_string(fault), q40_system(), fault});
+  runs.push_back({"healthy", q40_system(), {}});
+  for (const TankFault fault : fmea_fault_list()) {
+    runs.push_back({tank::to_string(fault), q40_system(), {fault_event(fault)},
+                    fault != TankFault::MissingCosc1 && fault != TankFault::MissingCosc2});
   }
   OscillatorSystemConfig slow = q40_system();
   slow.driver_bandwidth = 40e6;
-  runs.push_back({"slow-driver", slow, std::nullopt});
+  runs.push_back({"slow-driver", slow, {}});
   OscillatorSystemConfig tanh = q40_system();
   tanh.driver.shape = driver::LimitShape::Tanh;
-  runs.push_back({"tanh", tanh, std::nullopt});
+  runs.push_back({"tanh", tanh, {}});
+
+  // Recovery restores the healthy tank; a collapsed one is also re-kicked.
+  for (const TankFault fault : {TankFault::OpenCoil, TankFault::ShortedTurns}) {
+    runs.push_back({tank::to_string(fault) + "+recovery",
+                    q40_system(),
+                    {fault_event(fault), {kFaultAt + 1.1e-3, RecoveryEvent{}}},
+                    true});
+  }
+  runs.push_back({"open-coil/slow-driver", slow, {fault_event(TankFault::OpenCoil)}, true});
+  runs.push_back({"degraded-cosc1/tanh", tanh, {fault_event(TankFault::DegradedCosc1)}});
+  runs.push_back({"coil-short-to-ground+temperature",
+                  q40_system(),
+                  {fault_event(TankFault::CoilShortToGround),
+                   {kFaultAt + 1.6e-3, TemperatureEvent{400.0}}},
+                  true});
   return runs;
 }
 
 OscillatorSystem fixture_system(const FixtureRun& run) {
   OscillatorSystem sys(run.config);
-  if (run.fault) sys.schedule_fault(*run.fault, kFaultAt, section7_severity());
+  for (const auto& [at, action] : run.events) sys.schedule_event(at, action);
   return sys;
 }
 
@@ -107,9 +136,12 @@ std::string render_run(const std::string& name, const SimulationResult& r) {
 constexpr const char* kFixtureHeader =
     "# cycle-accurate engine reference (hexfloat, exact bits): Q=40 tank at 4 MHz,\n"
     "# 3.3 uH, 0.25 ms tick, 64 steps/period, 4 ms runs; external faults at 2 ms\n"
-    "# (Rs x30, 90 % shorted turns); slow-driver = 40 MHz driver bandwidth.\n"
-    "# Recorded with the engine that preceded the one-step RK4 kernel\n"
-    "# (OscillatorSystem::derivatives + the rk4_step lambda), by:\n"
+    "# (Rs x30, 90 % shorted turns); slow-driver = 40 MHz driver bandwidth;\n"
+    "# +recovery at 3.1 ms; +temperature = 400 K at 3.6 ms.\n"
+    "# Runs healthy to tanh were recorded with the engine that preceded the\n"
+    "# one-step RK4 kernel (OscillatorSystem::derivatives + the rk4_step lambda),\n"
+    "# the runs after them with the one-step kernel before exact orbit replay.\n"
+    "# Both by:\n"
     "#   LCOSC_REGEN_GOLDEN=1 build/tests/test_engine_fixture "
     "--gtest_filter=EngineFixture.RunMatchesFixture\n";
 
@@ -145,6 +177,60 @@ TEST(EngineFixture, SessionWithoutEnvelopeDiffersOnlyInTheEnvelope) {
     straight.envelope = quiet.envelope;
     EXPECT_EQ(render_run(run.name, quiet), render_run(run.name, straight));
   }
+}
+
+// Steps the runs finished since `registry` was reset replayed.
+std::uint64_t replayed_steps(const obs::MetricsRegistry& registry) {
+  const obs::MetricsSnapshot snapshot = registry.snapshot();
+  const obs::CounterSnapshot* counter = snapshot.find_counter("system.replayed_steps");
+  return counter != nullptr ? counter->value : 0;
+}
+
+// Without this a change could switch replay off and still match the
+// fixture: every run that repeats must replay, and no other run may.
+TEST(EngineFixture, RunsThatRepeatReplayAndNoOtherRunDoes) {
+  const bool was_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  auto& registry = obs::MetricsRegistry::instance();
+  for (const FixtureRun& run : fixture_runs()) {
+    SCOPED_TRACE(run.name);
+    registry.reset();
+    (void)fixture_system(run).run(kDuration);
+    if (run.repeats) {
+      EXPECT_GT(replayed_steps(registry), 0u);
+    } else {
+      EXPECT_EQ(replayed_steps(registry), 0u);
+    }
+  }
+  obs::set_metrics_enabled(was_enabled);
+}
+
+// A session paused between two ticks of a replayed stretch, and a copy of
+// it, both finish as the straight run.  The copy drops the period and
+// probes again, so it replays fewer steps; the original replays as many.
+TEST(EngineFixture, SessionCopiedMidReplayFinishesLikeTheStraightRun) {
+  const bool was_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  auto& registry = obs::MetricsRegistry::instance();
+  constexpr double kPause = 3.1e-3;  // between the ticks at 3 and 3.25 ms
+  for (const FixtureRun& run : fixture_runs()) {
+    if (run.name != "coil-short-to-ground" && run.name != "degraded-cosc1") continue;
+    SCOPED_TRACE(run.name);
+    registry.reset();
+    const std::string straight = render_run(run.name, fixture_system(run).run(kDuration));
+    const std::uint64_t straight_replayed = replayed_steps(registry);
+
+    RunSession original(fixture_system(run), kDuration);
+    original.advance_until(kPause);
+    RunSession copy(original);
+    registry.reset();
+    EXPECT_EQ(render_run(run.name, original.finish()), straight);
+    EXPECT_EQ(replayed_steps(registry), straight_replayed);
+    registry.reset();
+    EXPECT_EQ(render_run(run.name, copy.finish()), straight);
+    EXPECT_LT(replayed_steps(registry), straight_replayed);
+  }
+  obs::set_metrics_enabled(was_enabled);
 }
 
 }  // namespace
